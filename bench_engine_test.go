@@ -122,7 +122,7 @@ func (d memStatsDelta) stop() memStatsDelta {
 func benchReplayFanOut(b *testing.B, name string, sims []SimOptions) {
 	w := engineBenchWorkload()
 	passes := 0
-	src := EventSource(func(emit func(Event) error) error {
+	src := Events(func(emit func(Event) error) error {
 		passes++
 		return w.GenerateTo(emit)
 	})
@@ -216,7 +216,7 @@ const (
 // trace: object i dies as object i+retainedHold is born, so peak live
 // stays at retainedHold*retainedObjSize no matter how long the trace.
 func retainedChurnSource(n int) EventSource {
-	return func(emit func(Event) error) error {
+	return Events(func(emit func(Event) error) error {
 		instr := uint64(0)
 		for i := 1; i <= n; i++ {
 			instr += 100
@@ -230,7 +230,7 @@ func retainedChurnSource(n int) EventSource {
 			}
 		}
 		return nil
-	}
+	})
 }
 
 // retainedBenchMatrix holds only collectors whose heaps drain, so the

@@ -233,7 +233,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			}
 			closeFn = f.Close
 		} else {
-			src = wl.GenerateTo
+			src = dtbgc.Events(wl.GenerateTo)
 		}
 		return plan.Source(src, cancel), drops, closeFn, nil
 	}

@@ -20,10 +20,13 @@
 //     names instead;
 //   - the full evaluation harness (RunPaperEvaluation) regenerating
 //     Tables 2, 3, 4 and 6 and the Figure 2 memory curves;
-//   - a single-pass replay engine (ReplayAll with an EventSource):
-//     one trace — streamed from a workload generator, a binary trace
-//     file, or a slice — is fed exactly once to any number of
+//   - a single-pass replay engine (ReplayAll with an EventSource, a
+//     stream of event batches): one trace — from a workload generator
+//     (Events), a binary trace file (StreamSource) or a slice
+//     (SliceSource) — is fed exactly once to any number of
 //     collectors, with results bit-identical to solo Simulate calls;
+//     an interrupted replay resumes from its Checkpoint
+//     (ReplayAllResumable);
 //     the evaluation harnesses run on it under bounded parallelism
 //     with context cancellation (RunPaperEvaluationContext);
 //   - per-scavenge telemetry: a Probe set on SimOptions or EvalOptions

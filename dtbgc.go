@@ -182,20 +182,29 @@ func SimulateStream(r io.Reader, opts SimOptions) (*Result, error) {
 	return sim.RunReader(trace.NewReader(r), opts.config())
 }
 
-// EventSource streams one trace in event order to an emit callback,
-// stopping at the first emit error (returned unchanged). It is how
-// the replay engine consumes traces without materializing them:
-// Workload.GenerateTo satisfies the signature directly, and
-// SliceSource/StreamSource adapt the other trace forms.
+// EventSource streams one trace as event batches to an emit callback,
+// in trace order, stopping at the first emit error (returned
+// unchanged); emitted slices are only valid during the emit call. It
+// is how the replay engine consumes traces without materializing
+// them: SliceSource, StreamSource and RecoveringSource adapt the
+// stored trace forms, and Events adapts a per-event producer such as
+// Workload.GenerateTo.
 type EventSource = engine.Source
 
-// SliceSource adapts an in-memory trace to an EventSource.
+// Events adapts a per-event producer — Workload.GenerateTo has the
+// signature — to an EventSource, buffering events into batches. If
+// the producer fails mid-stream, the events it made before the
+// failure are delivered first, so a checkpoint lands exactly there.
+func Events(gen func(emit func(Event) error) error) EventSource { return engine.Events(gen) }
+
+// SliceSource adapts an in-memory trace to an EventSource, emitting
+// zero-copy subslices.
 func SliceSource(events []Event) EventSource { return engine.SliceSource(events) }
 
 // StreamSource adapts a binary trace stream (as written by WriteTrace)
-// to an EventSource; events decode one at a time, so replaying an
-// arbitrarily long capture uses memory bounded by the simulated
-// heaps.
+// to an EventSource, decoding a whole batch per reader call into a
+// reused buffer; replaying an arbitrarily long capture uses memory
+// bounded by the batch size and the simulated heaps.
 func StreamSource(r io.Reader) EventSource { return engine.ReaderSource(trace.NewReader(r)) }
 
 // DropStats is the recovery decoder's accounting of what a damaged
@@ -222,44 +231,23 @@ func RecoveringSource(r io.Reader) (EventSource, func() DropStats) {
 // option order. Every result — History and telemetry sequence
 // included — is bit-identical to a solo Simulate over the same trace;
 // only the trace production and per-event bookkeeping work is shared.
-// Events are delivered in batches internally; cancelling ctx aborts
-// the replay at the next batch boundary (at most a few thousand
-// events) with ctx's error.
+// Cancelling ctx aborts the replay at the next batch boundary (at
+// most a few thousand events) with ctx's error.
 func ReplayAll(ctx context.Context, src EventSource, opts []SimOptions) ([]*Result, error) {
-	cfgs := make([]sim.Config, len(opts))
-	for i, o := range opts {
-		cfgs[i] = o.config()
-	}
-	return engine.Replay(ctx, src, cfgs)
+	results, _, err := ReplayAllResumable(ctx, src, opts)
+	return results, err
 }
 
-// BatchEventSource streams one trace as event batches to an emit
-// callback — the batch-native form of EventSource the replay engine
-// actually runs on. Emitted slices are only valid during the emit
-// call. ReplayAll wraps any EventSource into batches automatically;
-// sources that can produce batches natively (SliceBatchSource,
-// StreamBatchSource) skip that buffering.
-type BatchEventSource = engine.BatchSource
+// StreamBatchSource is StreamSource.
+//
+// Deprecated: every EventSource is batch-native; use StreamSource.
+func StreamBatchSource(r io.Reader) EventSource { return StreamSource(r) }
 
-// SliceBatchSource adapts an in-memory trace to a BatchEventSource,
-// emitting zero-copy subslices.
-func SliceBatchSource(events []Event) BatchEventSource { return engine.SliceBatchSource(events) }
-
-// StreamBatchSource adapts a binary trace stream (as written by
-// WriteTrace) to a BatchEventSource, decoding a whole batch per
-// reader call into a reused buffer; memory stays bounded by the batch
-// size and the simulated heaps.
-func StreamBatchSource(r io.Reader) BatchEventSource {
-	return engine.ReaderBatchSource(trace.NewReader(r))
-}
-
-// ReplayAllBatches is ReplayAll over a batch-native source.
-func ReplayAllBatches(ctx context.Context, src BatchEventSource, opts []SimOptions) ([]*Result, error) {
-	cfgs := make([]sim.Config, len(opts))
-	for i, o := range opts {
-		cfgs[i] = o.config()
-	}
-	return engine.ReplayBatches(ctx, src, cfgs)
+// ReplayAllBatches is ReplayAll.
+//
+// Deprecated: every EventSource is batch-native; use ReplayAll.
+func ReplayAllBatches(ctx context.Context, src EventSource, opts []SimOptions) ([]*Result, error) {
+	return ReplayAll(ctx, src, opts)
 }
 
 // Checkpoint captures a consistent interrupted replay, resumable via
@@ -279,7 +267,7 @@ func ReplayAllResumable(ctx context.Context, src EventSource, opts []SimOptions)
 	for i, o := range opts {
 		cfgs[i] = o.config()
 	}
-	return engine.ReplayResumable(ctx, src, cfgs)
+	return engine.Replay(ctx, src, cfgs)
 }
 
 // HistoryCSV renders a result's per-scavenge history — time,

@@ -91,7 +91,7 @@ func TestReplayAllEquivalence(t *testing.T) {
 
 		fanProbe := newRecordingProbe()
 		fanOpts := equivalenceMatrix(w.Name, fanProbe)
-		fanned, err := ReplayAll(context.Background(), EventSource(scaled.GenerateTo), fanOpts)
+		fanned, err := ReplayAll(context.Background(), Events(scaled.GenerateTo), fanOpts)
 		if err != nil {
 			t.Fatalf("%s: ReplayAll: %v", w.Name, err)
 		}
@@ -129,7 +129,7 @@ func TestReplayAllCancellation(t *testing.T) {
 	defer cancel()
 	scaled := WorkloadByName("GHOST(1)").Scale(0.05)
 	emitted := 0
-	src := EventSource(func(emit func(Event) error) error {
+	src := Events(func(emit func(Event) error) error {
 		return scaled.GenerateTo(func(e Event) error {
 			emitted++
 			if emitted == 1000 {
@@ -168,9 +168,10 @@ func TestEvalContextCancellation(t *testing.T) {
 	}
 }
 
-// TestReplayAllBatchesEquivalence pins the facade's batch-native entry
-// points to ReplayAll: slice batches and stream-decoded batches must
-// both reproduce the per-event source's results exactly.
+// TestReplayAllBatchesEquivalence pins every facade source shape to
+// the per-event producer: slice batches, stream-decoded batches and
+// the deprecated ReplayAllBatches/StreamBatchSource aliases must all
+// reproduce its results exactly.
 func TestReplayAllBatchesEquivalence(t *testing.T) {
 	w := Workloads()[0].Scale(0.005)
 	events, err := w.Generate()
@@ -182,13 +183,14 @@ func TestReplayAllBatchesEquivalence(t *testing.T) {
 		t.Fatalf("encode: %v", err)
 	}
 
-	want, err := ReplayAll(context.Background(), SliceSource(events), equivalenceMatrix(w.Name, nil))
+	want, err := ReplayAll(context.Background(), Events(w.GenerateTo), equivalenceMatrix(w.Name, nil))
 	if err != nil {
 		t.Fatalf("ReplayAll: %v", err)
 	}
 
-	sources := map[string]BatchEventSource{
-		"SliceBatchSource":  SliceBatchSource(events),
+	sources := map[string]EventSource{
+		"SliceSource":       SliceSource(events),
+		"StreamSource":      StreamSource(bytes.NewReader(enc.Bytes())),
 		"StreamBatchSource": StreamBatchSource(bytes.NewReader(enc.Bytes())),
 	}
 	for name, src := range sources {

@@ -166,7 +166,7 @@ func runWorkloadSet(ctx context.Context, w Workload, opts EvalOptions) (RunSet, 
 	scaled := w.Scale(opts.Scale)
 	sims := collectorMatrix(scaled.Name, opts.TriggerBytes, opts.MemMaxBytes,
 		opts.TraceMaxBytes, opts.RecordCurves, opts.CurvePoints, opts.Probe)
-	results, err := replayMatrix(ctx, EventSource(scaled.GenerateTo), sims)
+	results, err := replayMatrix(ctx, Events(scaled.GenerateTo), sims)
 	if err != nil {
 		return RunSet{}, fmt.Errorf("dtbgc: %s: %w", scaled.Name, err)
 	}

@@ -39,5 +39,5 @@ func FaultWriter(p *FaultPlan, w io.Writer) io.WriteCloser { return p.Writer(w) 
 // (cancel is invoked at the scheduled event; nil is fine when no
 // cancel fault is scheduled).
 func FaultSource(p *FaultPlan, src EventSource, cancel func()) EventSource {
-	return EventSource(p.Source(fault.EventStream(src), cancel))
+	return p.Source(src, cancel)
 }

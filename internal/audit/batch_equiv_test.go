@@ -45,6 +45,14 @@ func runPath(t *testing.T, name string, opts Options,
 	return pathRun{res: res, tel: tel, aud: aud}
 }
 
+// replayPath delivers the matrix through engine.Replay over src.
+func replayPath(src engine.Source) func([]sim.Config) ([]*sim.Result, error) {
+	return func(cfgs []sim.Config) ([]*sim.Result, error) {
+		res, _, err := engine.Replay(context.Background(), src, cfgs)
+		return res, err
+	}
+}
+
 // TestBatchedFanOutMatchesLegacyOracle is the equivalence oracle for
 // the batched replay engine: every paper workload, across three
 // generator seeds, runs the full eight-collector matrix through three
@@ -82,21 +90,15 @@ func TestBatchedFanOutMatchesLegacyOracle(t *testing.T) {
 					}
 					return res, nil
 				})
-				perEvent := runPath(t, p.Name, opts, func(cfgs []sim.Config) ([]*sim.Result, error) {
-					return engine.ReplayBatches(context.Background(),
-						func(emit func([]trace.Event) error) error {
-							for i := range events {
-								if err := emit(events[i : i+1]); err != nil {
-									return err
-								}
-							}
-							return nil
-						}, cfgs)
-				})
-				batched := runPath(t, p.Name, opts, func(cfgs []sim.Config) ([]*sim.Result, error) {
-					return engine.ReplayBatches(context.Background(),
-						engine.SliceBatchSource(events), cfgs)
-				})
+				perEvent := runPath(t, p.Name, opts, replayPath(func(emit func([]trace.Event) error) error {
+					for i := range events {
+						if err := emit(events[i : i+1]); err != nil {
+							return err
+						}
+					}
+					return nil
+				}))
+				batched := runPath(t, p.Name, opts, replayPath(engine.SliceSource(events)))
 
 				for _, path := range []struct {
 					name string

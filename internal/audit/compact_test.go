@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -51,16 +50,14 @@ func TestCompactedReplayMatchesUncompactedOracle(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			compacted := runPath(t, tc.name, opts, func(cfgs []sim.Config) ([]*sim.Result, error) {
-				return engine.Replay(context.Background(), engine.SliceSource(tc.events), cfgs)
-			})
+			compacted := runPath(t, tc.name, opts, replayPath(engine.SliceSource(tc.events)))
 			uncompacted := runPath(t, tc.name, opts, func(cfgs []sim.Config) ([]*sim.Result, error) {
 				// One uncompacted config disables compaction for the
 				// whole shared tape.
 				for i := range cfgs {
 					cfgs[i].UncompactedTape = true
 				}
-				return engine.Replay(context.Background(), engine.SliceSource(tc.events), cfgs)
+				return replayPath(engine.SliceSource(tc.events))(cfgs)
 			})
 
 			for i := range uncompacted.res {

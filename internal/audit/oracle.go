@@ -181,7 +181,7 @@ func AuditWorkload(ctx context.Context, p workload.Profile, opts Options) (*Repo
 		cfg.Probe = sim.Probes(auditor, sim.NewTelemetryWriter(fastTel[i]))
 		fastCfgs[i] = cfg
 	}
-	fast, err := engine.Replay(ctx, engine.Source(scaled.GenerateTo), fastCfgs)
+	fast, _, err := engine.Replay(ctx, engine.Events(scaled.GenerateTo), fastCfgs)
 	if err != nil {
 		return nil, fmt.Errorf("audit: %s: fast path: %w", scaled.Name, err)
 	}

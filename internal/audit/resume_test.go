@@ -39,7 +39,7 @@ func TestResumeBitIdenticalUnderOracle(t *testing.T) {
 	events := churnTrace(3000, 256, 12, 40)
 
 	var wantTel bytes.Buffer
-	want, err := engine.Replay(context.Background(), engine.SliceSource(events),
+	want, _, err := engine.Replay(context.Background(), engine.SliceSource(events),
 		resumeMatrix(sim.Probes(NewAuditor(), sim.NewTelemetryWriter(&wantTel))))
 	if err != nil {
 		t.Fatalf("uninterrupted replay: %v", err)
@@ -51,13 +51,13 @@ func TestResumeBitIdenticalUnderOracle(t *testing.T) {
 		var tel bytes.Buffer
 		cfgs := resumeMatrix(sim.Probes(aud, sim.NewTelemetryWriter(&tel)))
 
-		_, cp, rerr := engine.ReplayResumable(context.Background(),
-			engine.Source(plan.Source(engine.SliceSource(events), nil)), cfgs)
+		_, cp, rerr := engine.Replay(context.Background(),
+			plan.Source(engine.SliceSource(events), nil), cfgs)
 		if rerr == nil || cp == nil {
 			t.Fatalf("seed %d: interrupted replay gave err=%v cp=%v", seed, rerr, cp)
 		}
 		got, cp, rerr := cp.Resume(context.Background(),
-			engine.Source(plan.Source(engine.SliceSource(events), nil)))
+			plan.Source(engine.SliceSource(events), nil))
 		if rerr != nil || cp != nil {
 			t.Fatalf("seed %d: resume: %v (checkpoint %v)", seed, rerr, cp)
 		}
@@ -82,20 +82,20 @@ func TestResumeBitIdenticalUnderOracle(t *testing.T) {
 // still reproduces the uninterrupted run exactly.
 func TestResumeAfterCancellationUnderOracle(t *testing.T) {
 	events := churnTrace(3000, 256, 12, 40)
-	want, err := engine.Replay(context.Background(), engine.SliceSource(events), resumeMatrix(nil))
+	want, _, err := engine.Replay(context.Background(), engine.SliceSource(events), resumeMatrix(nil))
 	if err != nil {
 		t.Fatalf("uninterrupted replay: %v", err)
 	}
 	plan := fault.NewPlan(fault.Fault{Kind: fault.Cancel, Offset: 64})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, cp, rerr := engine.ReplayResumable(ctx,
-		engine.Source(plan.Source(engine.SliceSource(events), cancel)), resumeMatrix(nil))
+	_, cp, rerr := engine.Replay(ctx,
+		plan.Source(engine.SliceSource(events), cancel), resumeMatrix(nil))
 	if rerr == nil || cp == nil {
 		t.Fatalf("cancelled replay gave err=%v cp=%v", rerr, cp)
 	}
 	got, cp, rerr := cp.Resume(context.Background(),
-		engine.Source(plan.Source(engine.SliceSource(events), func() {})))
+		plan.Source(engine.SliceSource(events), func() {}))
 	if rerr != nil || cp != nil {
 		t.Fatalf("resume: %v (checkpoint %v)", rerr, cp)
 	}

@@ -46,7 +46,7 @@ func directEval(t *testing.T, req EvalRequest) (*dtbgc.Result, string) {
 	if err != nil {
 		t.Fatalf("LookupWorkload: %v", err)
 	}
-	results, err = dtbgc.ReplayAll(context.Background(), dtbgc.EventSource(w.Scale(req.Scale).GenerateTo), []dtbgc.SimOptions{opts})
+	results, err = dtbgc.ReplayAll(context.Background(), dtbgc.Events(w.Scale(req.Scale).GenerateTo), []dtbgc.SimOptions{opts})
 	if err != nil {
 		t.Fatalf("ReplayAll: %v", err)
 	}

@@ -302,14 +302,14 @@ func (s *Server) evaluate(ctx context.Context, req *EvalRequest) (payload []byte
 				return &ErrUnknownTrace{Digest: req.TraceDigest}
 			}
 			tapeHit = true
-			results, rerr = dtbgc.ReplayAllBatches(jctx, dtbgc.SliceBatchSource(events), []dtbgc.SimOptions{opts})
+			results, rerr = dtbgc.ReplayAll(jctx, dtbgc.SliceSource(events), []dtbgc.SimOptions{opts})
 			return rerr
 		}
 		w, lerr := dtbgc.LookupWorkload(req.Workload)
 		if lerr != nil {
 			return lerr
 		}
-		results, rerr = dtbgc.ReplayAll(jctx, dtbgc.EventSource(w.Scale(req.Scale).GenerateTo), []dtbgc.SimOptions{opts})
+		results, rerr = dtbgc.ReplayAll(jctx, dtbgc.Events(w.Scale(req.Scale).GenerateTo), []dtbgc.SimOptions{opts})
 		return rerr
 	}
 	if err := engine.RunJobs(ctx, 1, []engine.Job{job}); err != nil {

@@ -30,7 +30,7 @@ func adaptiveTestMatrix() []sim.Config {
 // batch boundaries.
 func TestAdaptiveResumeBitIdentical(t *testing.T) {
 	events := testEvents(t)
-	want, err := Replay(context.Background(), SliceSource(events), adaptiveTestMatrix())
+	want, _, err := Replay(context.Background(), SliceSource(events), adaptiveTestMatrix())
 	if err != nil {
 		t.Fatalf("uninterrupted Replay: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestAdaptiveResumeBitIdentical(t *testing.T) {
 	// nonzero break point is strictly mid-batch for the batching source.
 	for _, breakAt := range []int{0, 1, len(events) / 3, len(events) - 1} {
 		injected := errors.New("transient read failure")
-		_, cp, rerr := ReplayResumable(context.Background(), failAfter(events, breakAt, injected), adaptiveTestMatrix())
+		_, cp, rerr := Replay(context.Background(), failAfter(events, breakAt, injected), adaptiveTestMatrix())
 		if !errors.Is(rerr, injected) || cp == nil {
 			t.Fatalf("breakAt %d: err %v, checkpoint %v", breakAt, rerr, cp)
 		}
@@ -62,14 +62,14 @@ func TestAdaptiveResumeBitIdentical(t *testing.T) {
 // restores the snapshots taken at checkpoint time.
 func TestAdaptiveResumeRestoresCheckpointState(t *testing.T) {
 	events := testEvents(t)
-	want, err := Replay(context.Background(), SliceSource(events), adaptiveTestMatrix())
+	want, _, err := Replay(context.Background(), SliceSource(events), adaptiveTestMatrix())
 	if err != nil {
 		t.Fatalf("uninterrupted Replay: %v", err)
 	}
 	boom := errors.New("boom")
 	breakAt := len(events) / 2
 	cfgs := adaptiveTestMatrix()
-	_, cp, _ := ReplayResumable(context.Background(), failAfter(events, breakAt, boom), cfgs)
+	_, cp, _ := Replay(context.Background(), failAfter(events, breakAt, boom), cfgs)
 	if cp == nil {
 		t.Fatal("no checkpoint")
 	}
@@ -108,12 +108,12 @@ func TestAdaptiveResumeRestoresCheckpointState(t *testing.T) {
 // the state at each new checkpoint.
 func TestAdaptiveResumeTwiceInterrupted(t *testing.T) {
 	events := testEvents(t)
-	want, err := Replay(context.Background(), SliceSource(events), adaptiveTestMatrix())
+	want, _, err := Replay(context.Background(), SliceSource(events), adaptiveTestMatrix())
 	if err != nil {
 		t.Fatalf("uninterrupted Replay: %v", err)
 	}
 	boom := errors.New("boom")
-	_, cp, _ := ReplayResumable(context.Background(), failAfter(events, 50, boom), adaptiveTestMatrix())
+	_, cp, _ := Replay(context.Background(), failAfter(events, 50, boom), adaptiveTestMatrix())
 	if cp == nil {
 		t.Fatal("first interrupt: no checkpoint")
 	}

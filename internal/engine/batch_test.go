@@ -25,14 +25,23 @@ func bigTestEvents(t *testing.T) []trace.Event {
 	return events
 }
 
-// TestBatchSourcesEquivalent: every batch adapter — zero-copy slice
-// batches, native ReadBatch decoding, and the per-event buffering
-// adapter — must produce results identical to the per-event Replay.
+// TestBatchSourcesEquivalent: every source adapter — zero-copy slice
+// batches, ReadBatch decoding, the per-event Events adapter and
+// single-event batches — must produce identical results. One
+// SliceSource value serves two replays, so it must be reusable.
 func TestBatchSourcesEquivalent(t *testing.T) {
 	events := bigTestEvents(t)
 	cfgs := testMatrix()
 
-	want, err := Replay(context.Background(), SliceSource(events), cfgs)
+	perEvent := func(emit func(trace.Event) error) error {
+		for _, e := range events {
+			if err := emit(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	want, _, err := Replay(context.Background(), Events(perEvent), cfgs)
 	if err != nil {
 		t.Fatalf("per-event Replay: %v", err)
 	}
@@ -42,13 +51,17 @@ func TestBatchSourcesEquivalent(t *testing.T) {
 		t.Fatalf("encode: %v", err)
 	}
 
-	sources := map[string]func() BatchSource{
-		"SliceBatchSource": func() BatchSource { return SliceBatchSource(events) },
-		"ReaderBatchSource": func() BatchSource {
-			return ReaderBatchSource(trace.NewReader(bytes.NewReader(enc.Bytes())))
+	slice := SliceSource(events)
+	sources := map[string]func() Source{
+		"SliceSource":        func() Source { return slice },
+		"SliceSource reused": func() Source { return slice },
+		"ReaderSource": func() Source {
+			return ReaderSource(trace.NewReader(bytes.NewReader(enc.Bytes())))
 		},
-		"BatchingSource": func() BatchSource { return BatchingSource(SliceSource(events)) },
-		"single-event batches": func() BatchSource {
+		"EventReaderSource": func() Source {
+			return EventReaderSource(trace.NewReader(bytes.NewReader(enc.Bytes())))
+		},
+		"single-event batches": func() Source {
 			return func(emit func([]trace.Event) error) error {
 				for i := range events {
 					if err := emit(events[i : i+1]); err != nil {
@@ -60,7 +73,7 @@ func TestBatchSourcesEquivalent(t *testing.T) {
 		},
 	}
 	for name, mk := range sources {
-		got, err := ReplayBatches(context.Background(), mk(), cfgs)
+		got, _, err := Replay(context.Background(), mk(), cfgs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -95,7 +108,7 @@ func TestResumeMidBatchBitIdentical(t *testing.T) {
 	events := bigTestEvents(t)
 
 	var wantTel bytes.Buffer
-	want, err := Replay(context.Background(), SliceSource(events), telemetryMatrix(&wantTel))
+	want, _, err := Replay(context.Background(), SliceSource(events), telemetryMatrix(&wantTel))
 	if err != nil {
 		t.Fatalf("uninterrupted replay: %v", err)
 	}
@@ -112,7 +125,7 @@ func TestResumeMidBatchBitIdentical(t *testing.T) {
 		}
 		var tel bytes.Buffer
 		boom := errInjected{}
-		_, cp, rerr := ReplayResumable(context.Background(),
+		_, cp, rerr := Replay(context.Background(),
 			failAfter(events, breakAt, boom), telemetryMatrix(&tel))
 		if rerr == nil || cp == nil {
 			t.Fatalf("breakAt %d: interrupted replay gave err=%v cp=%v", breakAt, rerr, cp)
@@ -139,29 +152,33 @@ type errInjected struct{}
 
 func (errInjected) Error() string { return "injected source failure" }
 
-// TestResumeBatchesMidBatch exercises the batch-native resume entry
-// point: interrupt via a batch source that fails mid-stream, resume
-// via ResumeBatches, same bit-identity contract.
+// TestResumeBatchesMidBatch: the resumed pass need not share the
+// interrupted pass's source shape. A replay interrupted mid-batch by a
+// per-event producer resumes from a reopened decoded stream, whose
+// batch boundaries differ, under the same bit-identity contract.
 func TestResumeBatchesMidBatch(t *testing.T) {
 	events := bigTestEvents(t)
 	breakAt := replayBatchEvents + 613
 
 	var wantTel bytes.Buffer
-	want, err := Replay(context.Background(), SliceSource(events), telemetryMatrix(&wantTel))
+	want, _, err := Replay(context.Background(), SliceSource(events), telemetryMatrix(&wantTel))
 	if err != nil {
 		t.Fatalf("uninterrupted replay: %v", err)
 	}
+	var enc bytes.Buffer
+	if err := trace.WriteAll(&enc, events); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
 
-	failing := BatchingSource(failAfter(events, breakAt, errInjected{}))
 	var tel bytes.Buffer
-	_, cp, rerr := ReplayBatchesResumable(context.Background(), failing, telemetryMatrix(&tel))
+	_, cp, rerr := Replay(context.Background(), failAfter(events, breakAt, errInjected{}), telemetryMatrix(&tel))
 	if rerr == nil || cp == nil {
 		t.Fatalf("interrupted replay gave err=%v cp=%v", rerr, cp)
 	}
 	if cp.Events() != breakAt {
 		t.Fatalf("checkpoint at %d events, want %d", cp.Events(), breakAt)
 	}
-	got, cp, rerr := cp.ResumeBatches(context.Background(), SliceBatchSource(events))
+	got, cp, rerr := cp.Resume(context.Background(), ReaderSource(trace.NewReader(bytes.NewReader(enc.Bytes()))))
 	if rerr != nil || cp != nil {
 		t.Fatalf("resume: %v (checkpoint %v)", rerr, cp)
 	}

@@ -20,7 +20,7 @@ import (
 //
 // Batching does not change the granularity: a checkpoint may land
 // strictly mid-batch (a source that fails after k events emits those k
-// before the error — see BatchingSource — and a resumed replay trims
+// before the error — see Events — and a resumed replay trims
 // the first batches down to the unprocessed suffix), so Events() is an
 // exact event count, never rounded to a batch boundary.
 //
@@ -68,31 +68,6 @@ type feedError struct{ err error }
 func (e *feedError) Error() string { return e.err.Error() }
 func (e *feedError) Unwrap() error { return e.err }
 
-// ReplayResumable is Replay returning a Checkpoint alongside a
-// resumable error: source failures and context cancellation yield a
-// non-nil checkpoint from which Resume continues; config and runner
-// feed errors yield a nil checkpoint (nothing consistent to resume).
-// On success the checkpoint is nil and the results are exactly
-// Replay's.
-func ReplayResumable(ctx context.Context, src Source, cfgs []sim.Config) ([]*sim.Result, *Checkpoint, error) {
-	return ReplayBatchesResumable(ctx, BatchingSource(src), cfgs)
-}
-
-// ReplayBatchesResumable is ReplayResumable over a batch-native
-// source.
-func ReplayBatchesResumable(ctx context.Context, src BatchSource, cfgs []sim.Config) ([]*sim.Result, *Checkpoint, error) {
-	for i, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("engine: config %d: %w", i, err)
-		}
-	}
-	fleet, err := sim.NewFleet(cfgs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return replayFrom(ctx, src, fleet, 0)
-}
-
 // Resume continues the interrupted replay from a reopened source. The
 // source must replay the same stream from the beginning: the first
 // Events() events are decoded and discarded (the runners already
@@ -103,11 +78,6 @@ func ReplayBatchesResumable(ctx context.Context, src BatchSource, cfgs []sim.Con
 // The checkpoint owns its fleet: after a successful Resume the runners
 // are finished and the checkpoint must not be resumed again.
 func (c *Checkpoint) Resume(ctx context.Context, src Source) ([]*sim.Result, *Checkpoint, error) {
-	return c.ResumeBatches(ctx, BatchingSource(src))
-}
-
-// ResumeBatches is Resume over a batch-native source.
-func (c *Checkpoint) ResumeBatches(ctx context.Context, src BatchSource) ([]*sim.Result, *Checkpoint, error) {
 	// Re-arm the adaptive policies with the state the checkpoint
 	// recorded. A restore failure means the checkpoint itself is bad —
 	// nothing consistent to resume from.
@@ -131,7 +101,7 @@ func (c *Checkpoint) ResumeBatches(ctx context.Context, src BatchSource) ([]*sim
 // so an aborted replay has fed exactly the batches it acknowledged.
 //
 //dtbvet:hotpath the engine fan-out loop: one closure call per batch
-func replayFrom(ctx context.Context, src BatchSource, fleet *sim.Fleet, skip int) ([]*sim.Result, *Checkpoint, error) {
+func replayFrom(ctx context.Context, src Source, fleet *sim.Fleet, skip int) ([]*sim.Result, *Checkpoint, error) {
 	n := 0
 	err := src(func(batch []trace.Event) error {
 		if cerr := ctx.Err(); cerr != nil {

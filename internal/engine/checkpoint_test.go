@@ -15,7 +15,7 @@ import (
 // failAfter wraps a slice source to fail with err after emitting n
 // events — a transient read error at an exact, resumable position.
 func failAfter(events []trace.Event, n int, err error) Source {
-	return func(emit func(trace.Event) error) error {
+	return Events(func(emit func(trace.Event) error) error {
 		for i, e := range events {
 			if i == n {
 				return err
@@ -25,7 +25,7 @@ func failAfter(events []trace.Event, n int, err error) Source {
 			}
 		}
 		return nil
-	}
+	})
 }
 
 // TestResumeBitIdentical is the checkpoint contract: a replay
@@ -36,14 +36,14 @@ func TestResumeBitIdentical(t *testing.T) {
 	events := testEvents(t)
 	cfgs := testMatrix()
 
-	want, err := Replay(context.Background(), SliceSource(events), cfgs)
+	want, _, err := Replay(context.Background(), SliceSource(events), cfgs)
 	if err != nil {
 		t.Fatalf("uninterrupted Replay: %v", err)
 	}
 
 	for _, breakAt := range []int{0, 1, len(events) / 2, len(events) - 1} {
 		injected := fmt.Errorf("transient read failure")
-		_, cp, rerr := ReplayResumable(context.Background(), failAfter(events, breakAt, injected), testMatrix())
+		_, cp, rerr := Replay(context.Background(), failAfter(events, breakAt, injected), testMatrix())
 		if !errors.Is(rerr, injected) {
 			t.Fatalf("breakAt %d: error %v, want the injected one", breakAt, rerr)
 		}
@@ -70,12 +70,12 @@ func TestResumeBitIdentical(t *testing.T) {
 // resumed again; consistency survives chaining.
 func TestResumeTwiceInterrupted(t *testing.T) {
 	events := testEvents(t)
-	want, err := Replay(context.Background(), SliceSource(events), testMatrix())
+	want, _, err := Replay(context.Background(), SliceSource(events), testMatrix())
 	if err != nil {
 		t.Fatalf("uninterrupted Replay: %v", err)
 	}
 	boom := errors.New("boom")
-	_, cp, rerr := ReplayResumable(context.Background(), failAfter(events, 50, boom), testMatrix())
+	_, cp, rerr := Replay(context.Background(), failAfter(events, 50, boom), testMatrix())
 	if cp == nil {
 		t.Fatalf("first interrupt: no checkpoint (err %v)", rerr)
 	}
@@ -101,13 +101,13 @@ func TestResumeTwiceInterrupted(t *testing.T) {
 // abort, so it checkpoints; resuming under a fresh context completes.
 func TestResumeAfterCancellation(t *testing.T) {
 	events := testEvents(t)
-	want, err := Replay(context.Background(), SliceSource(events), testMatrix())
+	want, _, err := Replay(context.Background(), SliceSource(events), testMatrix())
 	if err != nil {
 		t.Fatalf("uninterrupted Replay: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, cp, rerr := ReplayResumable(ctx, SliceSource(events), testMatrix())
+	_, cp, rerr := Replay(ctx, SliceSource(events), testMatrix())
 	if !errors.Is(rerr, context.Canceled) || cp == nil {
 		t.Fatalf("cancelled replay: err %v, checkpoint %v", rerr, cp)
 	}
@@ -127,7 +127,7 @@ func TestResumeAfterCancellation(t *testing.T) {
 // checkpoint may be offered.
 func TestFeedErrorNotResumable(t *testing.T) {
 	bad := []trace.Event{{Kind: trace.KindFree, ID: 99, Instr: 1}} // free of an unknown object
-	_, cp, err := ReplayResumable(context.Background(), SliceSource(bad), []sim.Config{{Policy: core.Full{}}})
+	_, cp, err := Replay(context.Background(), SliceSource(bad), []sim.Config{{Policy: core.Full{}}})
 	if err == nil {
 		t.Fatal("feeding an invalid event succeeded")
 	}
@@ -142,7 +142,7 @@ func TestFeedErrorNotResumable(t *testing.T) {
 func TestResumeSourceTooShort(t *testing.T) {
 	events := testEvents(t)
 	boom := errors.New("boom")
-	_, cp, _ := ReplayResumable(context.Background(), failAfter(events, 100, boom), testMatrix())
+	_, cp, _ := Replay(context.Background(), failAfter(events, 100, boom), testMatrix())
 	if cp == nil {
 		t.Fatal("no checkpoint")
 	}
@@ -151,7 +151,7 @@ func TestResumeSourceTooShort(t *testing.T) {
 	}
 	// A short source that fails before the checkpoint is not resumable
 	// either: the new checkpoint would precede the old one.
-	_, cp2, err := ReplayResumable(context.Background(), failAfter(events, 100, boom), testMatrix())
+	_, cp2, err := Replay(context.Background(), failAfter(events, 100, boom), testMatrix())
 	if cp2 == nil {
 		t.Fatalf("no checkpoint: %v", err)
 	}
@@ -160,14 +160,20 @@ func TestResumeSourceTooShort(t *testing.T) {
 	}
 }
 
-// TestReplayUnchangedByRefactor: Replay (the plain entry point) still
-// returns the feed error labelled with the collector, per its
-// documented contract, now that it shares the resumable core.
+// TestReplayUnchangedByRefactor: Replay returns the feed error
+// labelled with the collector, per its documented contract, wrapping
+// exactly the error a solo run reports for the same event, and offers
+// no checkpoint for it.
 func TestReplayUnchangedByRefactor(t *testing.T) {
 	bad := []trace.Event{{Kind: trace.KindFree, ID: 7, Instr: 1}}
-	_, err := Replay(context.Background(), SliceSource(bad), []sim.Config{{Policy: core.Full{}}})
-	if err == nil || !errors.Is(err, err) || err.Error() == "" {
-		t.Fatalf("unexpected: %v", err)
+	cfg := sim.Config{Policy: core.Full{}}
+	_, cp, err := Replay(context.Background(), SliceSource(bad), []sim.Config{cfg})
+	if err == nil || cp != nil {
+		t.Fatalf("unexpected: err %v, checkpoint %v", err, cp)
+	}
+	_, solo := sim.Run(bad, cfg)
+	if inner := errors.Unwrap(err); solo == nil || inner == nil || inner.Error() != solo.Error() {
+		t.Fatalf("feed error %q does not wrap the solo run's error %v", err, solo)
 	}
 	if want := "Full: "; len(err.Error()) < len(want) || err.Error()[:len(want)] != want {
 		t.Fatalf("feed error %q lost its collector label", err)

@@ -47,14 +47,14 @@ func compactionMatrix() []sim.Config {
 func TestResumeAcrossCompactionEpoch(t *testing.T) {
 	events := compactionChurn(t, 30000)
 
-	want, err := Replay(context.Background(), SliceSource(events), compactionMatrix())
+	want, _, err := Replay(context.Background(), SliceSource(events), compactionMatrix())
 	if err != nil {
 		t.Fatalf("uninterrupted Replay: %v", err)
 	}
 
 	boom := errors.New("transient read failure")
 	breakAt := 40000 // far past the first default-cadence compaction
-	_, cp, rerr := ReplayResumable(context.Background(), failAfter(events, breakAt, boom), compactionMatrix())
+	_, cp, rerr := Replay(context.Background(), failAfter(events, breakAt, boom), compactionMatrix())
 	if !errors.Is(rerr, boom) || cp == nil {
 		t.Fatalf("interrupt: err %v, checkpoint %v", rerr, cp)
 	}
@@ -88,7 +88,7 @@ func TestResumeAcrossCompactionEpoch(t *testing.T) {
 func TestResumeRejectsDivergedTape(t *testing.T) {
 	events := compactionChurn(t, 30000)
 	boom := errors.New("boom")
-	_, cp, _ := ReplayResumable(context.Background(), failAfter(events, 40000, boom), compactionMatrix())
+	_, cp, _ := Replay(context.Background(), failAfter(events, 40000, boom), compactionMatrix())
 	if cp == nil {
 		t.Fatal("no checkpoint")
 	}

@@ -6,12 +6,16 @@
 // (§5–6): every workload replays under six policies plus the NoGC and
 // Live baselines. Replay feeds each event exactly once to every
 // runner, so the trace is produced once per workload regardless of
-// collector count — and with a streaming Source (such as
-// workload.Profile.GenerateTo or a trace.Reader) it never materializes
-// in memory at all. RunJobs schedules those per-workload replays on a
-// bounded pool with fail-fast cancellation and deterministic result
-// assembly; every future scaling layer (policy sweeps, sharded runs,
-// learned-policy search) plugs into the same two primitives.
+// collector count. A Source has one shape — event batches — and
+// adapters cover the trace forms: SliceSource (zero-copy subslices),
+// ReaderSource (batch decoding) and Events (a per-event producer such
+// as workload.Profile.GenerateTo), so a streamed trace never
+// materializes in memory. An interrupted Replay returns a Checkpoint
+// whose Resume continues it. RunJobs schedules those per-workload
+// replays on a bounded pool with fail-fast cancellation and
+// deterministic result assembly; every future scaling layer (policy
+// sweeps, sharded runs, learned-policy search) plugs into the same two
+// primitives.
 package engine
 
 import (
@@ -22,55 +26,17 @@ import (
 	"github.com/dtbgc/dtbgc/internal/trace"
 )
 
-// Source streams one trace in event order: it calls emit for every
-// event and stops at the first emit error, which it returns unchanged
-// (wrapped errors keep working with errors.Is).
-// workload.Profile.GenerateTo satisfies this signature directly.
-type Source func(emit func(trace.Event) error) error
-
-// SliceSource adapts an in-memory trace to a Source.
-func SliceSource(events []trace.Event) Source {
-	return func(emit func(trace.Event) error) error {
-		for _, e := range events {
-			if err := emit(e); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// EventReader is the pull-style decoder shape: Read returns the next
-// event or io.EOF at a clean end. Both trace.Reader and
-// trace.RecoveringReader satisfy it.
-type EventReader interface {
-	Read() (trace.Event, error)
-}
-
-// EventReaderSource adapts any pull-style decoder to a Source: events
-// decode one at a time, so memory use is bounded by the simulated
-// heaps, not the trace length.
-func EventReaderSource(rd EventReader) Source {
-	return func(emit func(trace.Event) error) error {
-		for {
-			e, err := rd.Read()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if err := emit(e); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// ReaderSource adapts the strict trace decoder to a Source.
-func ReaderSource(rd *trace.Reader) Source {
-	return EventReaderSource(rd)
-}
+// Source streams one trace as event batches in trace order: it calls
+// emit for each batch and stops at the first emit error, which it
+// returns unchanged (wrapped errors keep working with errors.Is).
+// Batches are delivery units only — checkpoints remain event-granular
+// (see Checkpoint) — and the slice passed to emit is only valid for
+// the duration of the call.
+//
+// A Source that fails mid-stream must emit the events it decoded
+// before the failure first (see Events): replay checkpoints assume
+// every decoded event before the error reached the runners.
+type Source func(emit func([]trace.Event) error) error
 
 // replayBatchEvents is the batch granularity of the replay hot path:
 // the number of events decoded, delivered to the fleet, and covered by
@@ -81,42 +47,26 @@ func ReaderSource(rd *trace.Reader) Source {
 // L2 pages).
 const replayBatchEvents = 4096
 
-// cancelCheckEvery preserves the pre-batching name for the
-// cancellation granularity: ctx is checked once per batch.
-const cancelCheckEvery = replayBatchEvents
-
-// BatchSource streams one trace as event batches in trace order: it
-// calls emit for each batch and stops at the first emit error, which
-// it returns unchanged (wrapped errors keep working with errors.Is).
-// Batches are delivery units only — checkpoints remain event-granular
-// (see Checkpoint) — and the slice passed to emit is only valid for
-// the duration of the call.
-//
-// A BatchSource that fails mid-stream must emit the events it decoded
-// before the failure first (see BatchingSource): replay checkpoints
-// assume every decoded event before the error reached the runners.
-type BatchSource func(emit func([]trace.Event) error) error
-
-// SliceBatchSource adapts an in-memory trace to a BatchSource,
-// emitting zero-copy subslices of at most replayBatchEvents events.
-func SliceBatchSource(events []trace.Event) BatchSource {
+// SliceSource adapts an in-memory trace to a Source, emitting
+// zero-copy subslices of at most replayBatchEvents events. The source
+// can run any number of times: repeated replays and a Resume may reuse
+// one SliceSource value.
+func SliceSource(events []trace.Event) Source {
 	return func(emit func([]trace.Event) error) error {
-		for len(events) > 0 {
-			n := min(replayBatchEvents, len(events))
-			if err := emit(events[:n]); err != nil {
+		for lo := 0; lo < len(events); lo += replayBatchEvents {
+			if err := emit(events[lo:min(lo+replayBatchEvents, len(events))]); err != nil {
 				return err
 			}
-			events = events[n:]
 		}
 		return nil
 	}
 }
 
-// ReaderBatchSource adapts the strict trace decoder to a BatchSource
-// using Reader.ReadBatch: one decode loop fills a reused buffer per
-// batch, so the per-event decoder call overhead is paid once per
-// batch, not once per runner feed.
-func ReaderBatchSource(rd *trace.Reader) BatchSource {
+// ReaderSource adapts the strict trace decoder to a Source using
+// Reader.ReadBatch: one decode loop fills a reused buffer per batch,
+// so memory use is bounded by the batch and the simulated heaps, not
+// the trace length.
+func ReaderSource(rd *trace.Reader) Source {
 	return func(emit func([]trace.Event) error) error {
 		buf := make([]trace.Event, replayBatchEvents)
 		for {
@@ -136,17 +86,17 @@ func ReaderBatchSource(rd *trace.Reader) BatchSource {
 	}
 }
 
-// BatchingSource adapts a per-event Source to a BatchSource by
-// buffering up to replayBatchEvents events per emit. If the underlying
-// source fails mid-stream, the buffered prefix is flushed before the
-// error is returned, so every event the source produced has reached
-// the runners — exactly the per-event source's behavior, which is what
-// keeps checkpoints event-granular under batching. If both the flush
-// and the source fail, the flush error wins (it decides resumability).
-func BatchingSource(src Source) BatchSource {
+// Events adapts a per-event producer — workload.Profile.GenerateTo is
+// the canonical one — to a Source by buffering up to
+// replayBatchEvents events per emit. If the producer fails
+// mid-stream, the buffered prefix is flushed before the error is
+// returned, so every event the producer made has reached the runners:
+// that is what keeps checkpoints event-granular. If both the flush and
+// the producer fail, the flush error wins (it decides resumability).
+func Events(gen func(emit func(trace.Event) error) error) Source {
 	return func(emit func([]trace.Event) error) error {
 		buf := make([]trace.Event, 0, replayBatchEvents)
-		err := src(func(e trace.Event) error {
+		err := gen(func(e trace.Event) error {
 			buf = append(buf, e)
 			if len(buf) == cap(buf) {
 				ferr := emit(buf)
@@ -164,6 +114,32 @@ func BatchingSource(src Source) BatchSource {
 	}
 }
 
+// EventReader is the pull-style decoder shape: Read returns the next
+// event or io.EOF at a clean end. Both trace.Reader and
+// trace.RecoveringReader satisfy it.
+type EventReader interface {
+	Read() (trace.Event, error)
+}
+
+// EventReaderSource adapts any pull-style decoder to a Source through
+// Events: events decode one at a time into the batch buffer.
+func EventReaderSource(rd EventReader) Source {
+	return Events(func(emit func(trace.Event) error) error {
+		for {
+			e, err := rd.Read()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if err := emit(e); err != nil {
+				return err
+			}
+		}
+	})
+}
+
 // Replay feeds the source's events once to one fresh runner per config
 // and returns the finished results in config order. The source runs
 // exactly once no matter how many configs there are — the single-pass
@@ -172,29 +148,21 @@ func BatchingSource(src Source) BatchSource {
 // Each runner is single-threaded and sees the identical event sequence
 // a solo run would, so every result (History and telemetry sequence
 // included) is bit-identical to an independent run over the same
-// trace. A runner's feed error aborts the replay labelled with that
-// collector's name; a source error aborts it unchanged; cancellation
-// of ctx is detected between events and returns ctx's error.
-func Replay(ctx context.Context, src Source, cfgs []sim.Config) ([]*sim.Result, error) {
-	// Config validation happens before constructing any runner (see
-	// ReplayBatchesResumable): construction emits the probe's RunStart,
-	// so a bad config halfway through the set would otherwise leave the
-	// earlier runners' telemetry streams opened but never finished.
-	results, _, err := ReplayResumable(ctx, src, cfgs)
+// trace. Cancellation of ctx is checked once per batch and returns
+// ctx's error.
+//
+// Errors come in two classes. Source failures and cancellation land
+// between events, so they return a non-nil Checkpoint from which
+// Resume continues. Config errors and runner feed errors (a trace
+// validation error, labelled with the collector's name) return a nil
+// checkpoint: there is nothing consistent to resume. On success the
+// checkpoint is nil.
+func Replay(ctx context.Context, src Source, cfgs []sim.Config) ([]*sim.Result, *Checkpoint, error) {
+	// NewFleet validates every config before any runner opens a
+	// telemetry stream, so a config error leaves no stream unfinished.
+	fleet, err := sim.NewFleet(cfgs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return results, nil
-}
-
-// ReplayBatches is Replay over a batch-native source: the replay hot
-// path runs on batches end to end, with no per-event adapter between
-// the decoder and the fleet. Replay itself reduces to this via
-// BatchingSource.
-func ReplayBatches(ctx context.Context, src BatchSource, cfgs []sim.Config) ([]*sim.Result, error) {
-	results, _, err := ReplayBatchesResumable(ctx, src, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return replayFrom(ctx, src, fleet, 0)
 }

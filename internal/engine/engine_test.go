@@ -50,7 +50,7 @@ func TestReplayMatchesSoloRuns(t *testing.T) {
 	events := testEvents(t)
 	cfgs := testMatrix()
 
-	got, err := Replay(context.Background(), SliceSource(events), cfgs)
+	got, _, err := Replay(context.Background(), SliceSource(events), cfgs)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestReplayMatchesSoloRuns(t *testing.T) {
 func TestReplaySingleSourcePass(t *testing.T) {
 	events := testEvents(t)
 	var calls, emitted int
-	src := func(emit func(trace.Event) error) error {
+	src := Events(func(emit func(trace.Event) error) error {
 		calls++
 		for _, e := range events {
 			emitted++
@@ -83,8 +83,8 @@ func TestReplaySingleSourcePass(t *testing.T) {
 			}
 		}
 		return nil
-	}
-	if _, err := Replay(context.Background(), src, testMatrix()); err != nil {
+	})
+	if _, _, err := Replay(context.Background(), src, testMatrix()); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	if calls != 1 {
@@ -104,11 +104,11 @@ func TestReaderSource(t *testing.T) {
 		t.Fatalf("encode: %v", err)
 	}
 	cfgs := testMatrix()
-	fromSlice, err := Replay(context.Background(), SliceSource(events), cfgs)
+	fromSlice, _, err := Replay(context.Background(), SliceSource(events), cfgs)
 	if err != nil {
 		t.Fatalf("slice replay: %v", err)
 	}
-	fromReader, err := Replay(context.Background(), ReaderSource(trace.NewReader(&buf)), cfgs)
+	fromReader, _, err := Replay(context.Background(), ReaderSource(trace.NewReader(&buf)), cfgs)
 	if err != nil {
 		t.Fatalf("reader replay: %v", err)
 	}
@@ -123,9 +123,9 @@ func TestReaderSource(t *testing.T) {
 func TestReplayCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	const total = 10 * cancelCheckEvery
+	const total = 10 * replayBatchEvents
 	emitted := 0
-	src := func(emit func(trace.Event) error) error {
+	src := Events(func(emit func(trace.Event) error) error {
 		for i := 0; i < total; i++ {
 			if i == 100 {
 				cancel()
@@ -136,17 +136,17 @@ func TestReplayCancellation(t *testing.T) {
 			}
 		}
 		return nil
-	}
-	results, err := Replay(ctx, src, testMatrix())
+	})
+	results, _, err := Replay(ctx, src, testMatrix())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Replay error = %v, want context.Canceled", err)
 	}
 	if results != nil {
 		t.Error("cancelled replay returned results")
 	}
-	// The check runs every cancelCheckEvery events, so the replay must
+	// The check runs every replayBatchEvents events, so the replay must
 	// stop within one stride of the cancellation point.
-	if emitted > 100+cancelCheckEvery {
+	if emitted > 100+replayBatchEvents {
 		t.Errorf("replay consumed %d events after cancellation, want prompt stop", emitted-100)
 	}
 }
@@ -158,7 +158,7 @@ func TestReplayFeedErrorNamesCollector(t *testing.T) {
 		trace.Alloc(1, 64, 0),
 		trace.Free(2, 1), // never allocated
 	}
-	_, err := Replay(context.Background(), SliceSource(bad), []sim.Config{{Policy: core.Full{}}})
+	_, _, err := Replay(context.Background(), SliceSource(bad), []sim.Config{{Policy: core.Full{}}})
 	if err == nil {
 		t.Fatal("Replay accepted a free of an unknown object")
 	}
@@ -171,11 +171,11 @@ func TestReplayFeedErrorNamesCollector(t *testing.T) {
 // before any source work happens.
 func TestReplayRunnerConstructionError(t *testing.T) {
 	calls := 0
-	src := func(emit func(trace.Event) error) error {
+	src := func(emit func([]trace.Event) error) error {
 		calls++
 		return nil
 	}
-	_, err := Replay(context.Background(), src, []sim.Config{{Mode: sim.ModePolicy}}) // no Policy
+	_, _, err := Replay(context.Background(), src, []sim.Config{{Mode: sim.ModePolicy}}) // no Policy
 	if err == nil {
 		t.Fatal("Replay accepted ModePolicy without a Policy")
 	}

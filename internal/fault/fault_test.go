@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dtbgc/dtbgc/internal/engine"
 	"github.com/dtbgc/dtbgc/internal/trace"
 )
 
@@ -163,58 +164,71 @@ func TestNilPlanPassesThrough(t *testing.T) {
 	if p.String() != "" || p.Unfired() != nil {
 		t.Fatal("nil plan must render empty and report nothing unfired")
 	}
-	src := p.Source(func(emit func(trace.Event) error) error {
-		return emit(trace.Alloc(1, 8, 1))
+	src := p.Source(func(emit func([]trace.Event) error) error {
+		return emit([]trace.Event{trace.Alloc(1, 8, 1)})
 	}, nil)
 	count := 0
-	if err := src(func(trace.Event) error { count++; return nil }); err != nil || count != 1 {
+	if err := src(func(b []trace.Event) error { count += len(b); return nil }); err != nil || count != 1 {
 		t.Fatalf("nil-plan source: %d events, %v", count, err)
 	}
 }
 
-func TestSourceErrAtExactEvent(t *testing.T) {
+// batchedSource emits ten events in batches of size: the fault
+// offsets must land on exact events whatever the batch boundaries.
+func batchedSource(size int) engine.Source {
 	events := make([]trace.Event, 10)
 	for i := range events {
 		events[i] = trace.Alloc(trace.ObjectID(i+1), 8, uint64(i+1))
 	}
-	emitAll := func(emit func(trace.Event) error) error {
-		for _, e := range events {
-			if err := emit(e); err != nil {
+	return func(emit func([]trace.Event) error) error {
+		for lo := 0; lo < len(events); lo += size {
+			if err := emit(events[lo:min(lo+size, len(events))]); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	plan := NewPlan(Fault{Kind: SourceErr, Offset: 4})
-	seen := 0
-	err := plan.Source(emitAll, nil)(func(trace.Event) error { seen++; return nil })
-	if !errors.Is(err, ErrInjected) || seen != 4 {
-		t.Fatalf("saw %d events, err %v; want 4 events then the injected error", seen, err)
+}
+
+func TestSourceErrAtExactEvent(t *testing.T) {
+	for _, size := range []int{1, 3, 4, 10} {
+		plan := NewPlan(Fault{Kind: SourceErr, Offset: 4})
+		seen := 0
+		err := plan.Source(batchedSource(size), nil)(func(b []trace.Event) error { seen += len(b); return nil })
+		if !errors.Is(err, ErrInjected) || seen != 4 {
+			t.Fatalf("batch size %d: saw %d events, err %v; want 4 events then the injected error", size, seen, err)
+		}
 	}
 }
 
 func TestCancelInvokesCancelAndContinues(t *testing.T) {
-	events := make([]trace.Event, 10)
-	for i := range events {
-		events[i] = trace.Alloc(trace.ObjectID(i+1), 8, uint64(i+1))
-	}
-	emitAll := func(emit func(trace.Event) error) error {
-		for _, e := range events {
-			if err := emit(e); err != nil {
-				return err
-			}
+	for _, size := range []int{1, 3, 10} {
+		plan := NewPlan(Fault{Kind: Cancel, Offset: 6})
+		cancelled := false
+		seen := 0
+		err := plan.Source(batchedSource(size), func() { cancelled = true })(func(b []trace.Event) error { seen += len(b); return nil })
+		if err != nil {
+			t.Fatalf("batch size %d: a cancel storm is not a stream error: %v", size, err)
 		}
-		return nil
+		if !cancelled || seen != 10 {
+			t.Fatalf("batch size %d: cancelled=%v seen=%d; cancel must fire at event 6 and the stream must keep flowing", size, cancelled, seen)
+		}
 	}
-	plan := NewPlan(Fault{Kind: Cancel, Offset: 6})
-	cancelled := false
-	seen := 0
-	err := plan.Source(emitAll, func() { cancelled = true })(func(trace.Event) error { seen++; return nil })
-	if err != nil {
-		t.Fatalf("a cancel storm is not a stream error: %v", err)
-	}
-	if !cancelled || seen != len(events) {
-		t.Fatalf("cancelled=%v seen=%d; cancel must fire at event 6 and the stream must keep flowing", cancelled, seen)
+}
+
+// TestSharedOffsetFiresAtConsecutiveEvents: each event position
+// consumes at most one fault, so a cancel and a source error both
+// scheduled at event 4 fire at events 4 and 5, in schedule order,
+// however the stream is batched.
+func TestSharedOffsetFiresAtConsecutiveEvents(t *testing.T) {
+	for _, size := range []int{1, 3, 10} {
+		plan := NewPlan(Fault{Kind: Cancel, Offset: 4}, Fault{Kind: SourceErr, Offset: 4})
+		cancelled := false
+		seen := 0
+		err := plan.Source(batchedSource(size), func() { cancelled = true })(func(b []trace.Event) error { seen += len(b); return nil })
+		if !errors.Is(err, ErrInjected) || !cancelled || seen != 5 {
+			t.Fatalf("batch size %d: cancelled=%v seen=%d err=%v; want the cancel at 4, then 5 events and the injected error", size, cancelled, seen, err)
+		}
 	}
 }
 

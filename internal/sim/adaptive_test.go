@@ -195,11 +195,7 @@ func TestDerivePolicySeed(t *testing.T) {
 // TestPureRunnersHaveNoInstance: a stock policy must not pay for (or
 // observe) any adaptive machinery.
 func TestPureRunnersHaveNoInstance(t *testing.T) {
-	r, err := NewRunner(tinyConfig(core.Full{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.PolicyInstance() != nil {
+	if newSolo(t, tinyConfig(core.Full{})).Runners()[0].PolicyInstance() != nil {
 		t.Error("pure policy runner carries an adaptive instance")
 	}
 }

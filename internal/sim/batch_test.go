@@ -82,30 +82,9 @@ func TestFleetMatchesSoloRuns(t *testing.T) {
 	}
 }
 
-// TestRunnerFeedBatchMatchesFeed pins the solo batch entry point to
-// the per-event one.
-func TestRunnerFeedBatchMatchesFeed(t *testing.T) {
-	events := markedChurnTrace(2000)
-	cfg := tinyConfig(core.DtbFM{TraceMax: 5 * kb})
-	want := mustRun(t, events, cfg)
-
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lo := 0; lo < len(events); lo += 100 {
-		if err := r.FeedBatch(events[lo:min(lo+100, len(events))]); err != nil {
-			t.Fatalf("FeedBatch: %v", err)
-		}
-	}
-	if got := r.Finish(); !reflect.DeepEqual(got, want) {
-		t.Errorf("FeedBatch result differs from Feed result\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
 // TestFleetErrorLeavesConsistentPrefix: a validation error mid-batch
 // must leave every runner having applied exactly the events before the
-// offending one, and report the same error a solo Feed would.
+// offending one, and report the same error a solo Run would.
 func TestFleetErrorLeavesConsistentPrefix(t *testing.T) {
 	good := churnTrace(100, kb, 5, 0)
 	bad := append(append([]trace.Event{}, good...),
@@ -120,18 +99,8 @@ func TestFleetErrorLeavesConsistentPrefix(t *testing.T) {
 	if ferr == nil {
 		t.Fatal("invalid free accepted")
 	}
-	r, err := NewRunner(cfgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var serr error
-	for _, e := range bad {
-		if serr = r.Feed(e); serr != nil {
-			break
-		}
-	}
-	if serr == nil || serr.Error() != ferr.Error() {
-		t.Fatalf("fleet error %q, solo Feed error %q", ferr, serr)
+	if _, serr := Run(bad, cfgs[0]); serr == nil || serr.Error() != ferr.Error() {
+		t.Fatalf("fleet error %q, solo Run error %q", ferr, serr)
 	}
 	// The valid prefix reached every runner: finishing now must match
 	// solo runs over just the prefix.
@@ -141,26 +110,6 @@ func TestFleetErrorLeavesConsistentPrefix(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("%s: post-error fleet state differs from solo prefix run", want.Collector)
 		}
-	}
-}
-
-// TestFleetRunnerRejectsDirectFeed: a fleet-owned runner must refuse
-// Runner.Feed/FeedBatch — a direct feed would advance the shared tape
-// ahead of the sibling runners.
-func TestFleetRunnerRejectsDirectFeed(t *testing.T) {
-	fleet, err := NewFleet([]Config{{Mode: ModeNoGC}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := fleet.Runners()[0]
-	if err := r.Feed(trace.Alloc(1, 8, 0)); err == nil {
-		t.Fatal("direct Feed on a fleet runner accepted")
-	}
-	if err := r.FeedBatch([]trace.Event{trace.Alloc(1, 8, 0)}); err == nil {
-		t.Fatal("direct FeedBatch on a fleet runner accepted")
-	}
-	if n := fleet.Events(); n != 0 {
-		t.Fatalf("rejected feeds advanced the tape to %d", n)
 	}
 }
 
@@ -197,6 +146,22 @@ func TestFeedBatchSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("FeedBatch allocates %v times per steady-state batch, want 0", allocs)
+	}
+
+	// Run's shape: a fleet of one fed one event per FeedBatch call.
+	solo := newSolo(t, cfgs[0])
+	if err := solo.FeedBatch(churnTrace(500, 256, 12, 0)); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		for i := range batch {
+			if err := solo.FeedBatch(batch[i : i+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("one-event FeedBatch on a fleet of one allocates %v times per steady-state batch, want 0", allocs)
 	}
 }
 

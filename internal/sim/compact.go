@@ -240,9 +240,6 @@ func (tp *tape) stats() TapeStats {
 	}
 }
 
-// TapeStats reports the footprint of this runner's private tape.
-func (r *Runner) TapeStats() TapeStats { return r.tape.stats() }
-
 // TapeStats reports the footprint of the fleet's shared tape.
 func (f *Fleet) TapeStats() TapeStats { return f.tape.stats() }
 

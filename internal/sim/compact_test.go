@@ -168,11 +168,11 @@ func countAllocs(events []trace.Event) int {
 	return n
 }
 
-// TestSoloCompactionMatchesUncompacted drives the solo Feed/FeedBatch
-// hooks with floor thresholds — many small retire/trim cycles — and
-// pins the result to the uncompacted run. The boundary query is also
-// re-checked against the naive scan on the compacted tape, since the
-// bucket suffix is rebased after every trim.
+// TestSoloCompactionMatchesUncompacted drives a fleet of one, one event
+// per FeedBatch call, with floor thresholds — many small retire/trim
+// cycles — and pins the result to the uncompacted run. The boundary
+// query is also re-checked against the naive scan on the compacted
+// tape, since the bucket suffix is rebased after every trim.
 func TestSoloCompactionMatchesUncompacted(t *testing.T) {
 	// 20 KB objects spread births across many 64 KB buckets, so even a
 	// short trace crosses plenty of epochs. Full reclaims every dead
@@ -184,13 +184,10 @@ func TestSoloCompactionMatchesUncompacted(t *testing.T) {
 	uncfg.UncompactedTape = true
 	want := mustRun(t, events, uncfg)
 
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newSolo(t, cfg)
 	aggressive(r.tape)
 	for i, e := range events {
-		if err := r.Feed(e); err != nil {
+		if err := feedOne(r, e); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
 		if i%271 == 0 {
@@ -206,19 +203,16 @@ func TestSoloCompactionMatchesUncompacted(t *testing.T) {
 	if st := r.TapeStats(); st.RetiredObjects == 0 || st.TrimmedBuckets == 0 {
 		t.Fatalf("aggressive compaction did not engage: stats %+v", st)
 	}
-	if got := r.Finish(); !reflect.DeepEqual(got, want) {
+	if got := r.Finish()[0]; !reflect.DeepEqual(got, want) {
 		t.Errorf("compacted solo result differs from uncompacted\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
-// compactedRunner returns a solo runner whose tape has demonstrably
+// compactedRunner returns a fleet of one whose tape has demonstrably
 // retired a prefix, for probing how retired IDs behave afterwards.
-func compactedRunner(t *testing.T) *Runner {
+func compactedRunner(t *testing.T) *Fleet {
 	t.Helper()
-	r, err := NewRunner(Config{Mode: ModeNoGC})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newSolo(t, Config{Mode: ModeNoGC})
 	aggressive(r.tape)
 	if err := r.FeedBatch(churnTrace(500, 20*kb, 5, 0)); err != nil {
 		t.Fatal(err)
@@ -239,7 +233,7 @@ func compactedRunner(t *testing.T) *Runner {
 func TestRetiredIDReuseRejected(t *testing.T) {
 	r := compactedRunner(t)
 	instr := uint64(1 << 20)
-	err := r.Feed(trace.Alloc(1, 64, instr))
+	err := feedOne(r, trace.Alloc(1, 64, instr))
 	if err == nil {
 		t.Fatal("reuse of a retired trace ID accepted as a fresh allocation")
 	}
@@ -258,14 +252,14 @@ func TestRetiredIDReuseRejected(t *testing.T) {
 // the uncompacted tape would, not "unknown object".
 func TestFreeOfRetiredIDIsDoubleFree(t *testing.T) {
 	r := compactedRunner(t)
-	err := r.Feed(trace.Free(1, uint64(1<<20)))
+	err := feedOne(r, trace.Free(1, uint64(1<<20)))
 	if err == nil {
 		t.Fatal("free of a retired object accepted")
 	}
 	if !strings.Contains(err.Error(), "double free of object 1") {
 		t.Fatalf("free-of-retired error = %q, want a double-free error", err)
 	}
-	if err := r.Feed(trace.Free(999999, uint64(1<<20))); err == nil ||
+	if err := feedOne(r, trace.Free(999999, uint64(1<<20))); err == nil ||
 		!strings.Contains(err.Error(), "free of unknown object") {
 		t.Fatalf("free of a never-seen object = %v, want unknown-object error", err)
 	}
@@ -308,10 +302,7 @@ func TestVmemPtrWriteRetiredEquivalence(t *testing.T) {
 	uncfg.UncompactedTape = true
 	want := mustRun(t, events, uncfg)
 
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newSolo(t, cfg)
 	aggressive(r.tape)
 	if err := r.FeedBatch(events); err != nil {
 		t.Fatal(err)
@@ -319,7 +310,7 @@ func TestVmemPtrWriteRetiredEquivalence(t *testing.T) {
 	if st := r.TapeStats(); st.RetiredObjects == 0 {
 		t.Fatalf("vmem churn trace did not trigger retirement: stats %+v", st)
 	}
-	if got := r.Finish(); !reflect.DeepEqual(got, want) {
+	if got := r.Finish()[0]; !reflect.DeepEqual(got, want) {
 		t.Errorf("compacted vmem result differs from uncompacted\ngot  %+v\nwant %+v", got, want)
 	}
 }
@@ -330,10 +321,7 @@ func TestVmemPtrWriteRetiredEquivalence(t *testing.T) {
 // must lift the limit off *total* objects by keeping the retained
 // count below it.
 func TestTapeOrdinalLimit(t *testing.T) {
-	r, err := NewRunner(Config{Mode: ModeNoGC})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newSolo(t, Config{Mode: ModeNoGC})
 	r.tape.ordLimit = 4
 	b := trace.NewBuilder()
 	for i := 0; i < 5; i++ {
@@ -351,10 +339,7 @@ func TestTapeOrdinalLimit(t *testing.T) {
 	// With compaction retiring the dead prefix, total objects can
 	// exceed the limit many times over as long as the retained set
 	// stays under it.
-	r2, err := NewRunner(Config{Mode: ModeNoGC})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := newSolo(t, Config{Mode: ModeNoGC})
 	aggressive(r2.tape)
 	r2.tape.ordLimit = 16
 	if err := r2.FeedBatch(churnTrace(400, 20*kb, 3, 0)); err != nil {
@@ -438,10 +423,7 @@ func TestLiveBytesBornAfterFinalBucket(t *testing.T) {
 // capacity and extends retired-ID spans in place, so the whole replay
 // runs at zero steady-state allocations per event.
 func TestResolveSteadyStateAllocs(t *testing.T) {
-	r, err := NewRunner(Config{Mode: ModeNoGC})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newSolo(t, Config{Mode: ModeNoGC})
 	tp := r.tape
 	tp.checkEvery = 64
 	tp.minRetire = 64

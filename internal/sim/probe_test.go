@@ -200,29 +200,26 @@ func TestProbeDoesNotInfluence(t *testing.T) {
 // in particular the telemetry hooks must not build candidate lists or
 // event structs that escape.
 func TestNoProbeFeedAllocs(t *testing.T) {
-	r, err := NewRunner(Config{Policy: core.Full{}, Opportunistic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newSolo(t, Config{Policy: core.Full{}, Opportunistic: true})
 	b := trace.NewBuilder()
 	id := b.Alloc(64)
 	b.PtrWrite(id, 0, id)
 	b.Mark("m")
 	events := b.Events()
-	if err := r.Feed(events[0]); err != nil {
+	if err := feedOne(r, events[0]); err != nil {
 		t.Fatal(err)
 	}
 	ptr, mark := events[1], events[2]
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := r.Feed(ptr); err != nil {
+		if err := feedOne(r, ptr); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Feed(mark); err != nil {
+		if err := feedOne(r, mark); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("nil-probe Feed allocated %v times per ptr-write/mark pair, want 0", allocs)
+		t.Errorf("nil-probe one-event FeedBatch allocated %v times per ptr-write/mark pair, want 0", allocs)
 	}
 }
 
@@ -242,12 +239,9 @@ func benchmarkFeed(b *testing.B, p Probe) {
 	events := probeTrace()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := NewRunner(Config{Policy: core.Full{}, TriggerBytes: 16 * 1024, Probe: p})
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := newSolo(b, Config{Policy: core.Full{}, TriggerBytes: 16 * 1024, Probe: p})
 		for _, e := range events {
-			if err := r.Feed(e); err != nil {
+			if err := feedOne(r, e); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,13 +9,14 @@
 // number of bytes per second, so pause times are proportional to bytes
 // traced and CPU overhead is total trace time over program run time.
 //
-// Run simulates an in-memory trace; RunReader streams events from a
-// decoder so arbitrarily long traces simulate in constant memory;
-// NewRunner exposes the incremental interface both are built on; and
-// NewFleet shares the collector-independent trace bookkeeping (the
-// "tape") across many runners so a fan-out replay pays for decoding,
-// validation and liveness accounting once instead of once per
-// collector.
+// NewFleet is the incremental interface: it shares the
+// collector-independent trace bookkeeping (the "tape") across many
+// runners so a fan-out replay pays for decoding, validation and
+// liveness accounting once instead of once per collector, and its
+// FeedBatch is the one loop every event goes through. Run simulates an
+// in-memory trace and RunReader streams events from a decoder so
+// arbitrarily long traces simulate in constant memory; both are a
+// fleet of one.
 package sim
 
 import (
@@ -105,7 +106,7 @@ type Config struct {
 	// PolicySeed seeds adaptive policies (core.AdaptivePolicy): the
 	// per-run instance seed is derived deterministically from this
 	// value, Label and the collector name, so every replay path —
-	// solo, fleet fan-out, streamed, checkpoint/resume — instantiates
+	// solo, fan-out, streamed, checkpoint/resume — instantiates
 	// identical state for the same configuration. Zero is a valid
 	// seed. Pure policies ignore it.
 	PolicySeed uint64
@@ -181,8 +182,8 @@ func (c Config) withDefaults() Config {
 // Validate reports why the configuration cannot run, or nil. It
 // checks the post-default view of the config, so a zero Machine (to
 // be replaced by PaperMachine) is valid while a half-filled one is
-// not. NewRunner validates implicitly; replay harnesses call this to
-// reject a whole config set before any runner has emitted telemetry.
+// not. NewFleet calls it on every config before any runner has emitted
+// telemetry.
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	if err := c.Machine.Validate(); err != nil {
@@ -282,7 +283,7 @@ type resolved struct {
 // allocation clock, event validation, and the live-byte accounting
 // behind boundary queries. A Fleet shares one tape across all of its
 // runners so this work happens once per trace instead of once per
-// collector; a solo Runner owns a private tape.
+// collector.
 //
 // Objects are numbered by dense ordinals in allocation order,
 // relative to a sliding base: epoch-based compaction (see compact.go)
@@ -527,22 +528,14 @@ func (h policyHeap) LiveBytesBornAfter(t core.Time) uint64 {
 	return h.r.tape.liveBytesBornAfter(t)
 }
 
-// Runner is the incremental simulation interface: feed events in trace
-// order, then Finish. Run and RunReader are thin wrappers around it;
-// Fleet drives many runners off one shared tape.
+// Runner is one collector's simulation state within a Fleet: the
+// fleet resolves each event against the shared tape and the runner
+// applies it to its own heap model.
 type Runner struct {
 	cfg  Config
 	res  *Result
 	tape *tape
 	view core.Heap // policyHeap, boxed once at construction
-	// fleet marks a runner constructed by NewFleet: its tape is shared,
-	// so events must arrive through Fleet.FeedBatch (a direct Feed
-	// would advance the tape ahead of the sibling runners).
-	fleet bool
-	// tapeRunners is the runner set compaction must consult before
-	// retiring tape prefixes: just this runner for a solo tape (set by
-	// NewRunner), nil for fleet runners (the fleet drives compaction).
-	tapeRunners []*Runner
 
 	// Per-collector heap state. objs holds the ordinals of objects
 	// present in this runner's heap (live or dead-but-unreclaimed), in
@@ -586,26 +579,10 @@ type Runner struct {
 	present  []bool
 }
 
-// NewRunner validates the configuration and returns a Runner with a
-// private tape, ready for events. The probe's RunStart fires only
-// after validation succeeds, so a rejected config never opens a
-// telemetry stream it cannot close.
-func NewRunner(cfg Config) (*Runner, error) {
-	tp := newTape()
-	r, err := newRunner(tp, cfg, false)
-	if err != nil {
-		return nil, err
-	}
-	r.tapeRunners = []*Runner{r}
-	tp.compact = tapeCompactionAllowed(r.tapeRunners)
-	return r, nil
-}
-
-func newRunner(tp *tape, cfg Config, fleet bool) (*Runner, error) {
+// newRunner returns a Runner on the given tape, ready for events, and
+// fires the probe's RunStart. The config must have passed Validate.
+func newRunner(tp *tape, cfg Config) *Runner {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	res := &Result{}
 	switch cfg.Mode {
 	case ModePolicy:
@@ -615,7 +592,7 @@ func newRunner(tp *tape, cfg Config, fleet bool) (*Runner, error) {
 	case ModeLive:
 		res.Collector = "Live"
 	}
-	r := &Runner{cfg: cfg, res: res, tape: tp, fleet: fleet}
+	r := &Runner{cfg: cfg, res: res, tape: tp}
 	r.view = policyHeap{r}
 	r.isPolicy = cfg.Mode == ModePolicy
 	if r.isPolicy {
@@ -643,7 +620,7 @@ func newRunner(tp *tape, cfg Config, fleet bool) (*Runner, error) {
 			Opportunistic: cfg.Opportunistic,
 		})
 	}
-	return r, nil
+	return r
 }
 
 // Collector returns the name the run's Result will carry ("Full",
@@ -702,59 +679,9 @@ func (r *Runner) sample(instr uint64) {
 	}
 }
 
-// errFeedAfterFinish and errFleetFeed are allocated once so the hot
-// entry points return them without formatting.
-var (
-	errFeedAfterFinish = errors.New("sim: Feed after Finish")
-	errFleetFeed       = errors.New("sim: Feed on a fleet runner (events arrive via Fleet.FeedBatch)")
-)
-
-// Feed processes one event. Events must arrive in trace order.
-func (r *Runner) Feed(e trace.Event) error {
-	if r.finished {
-		return errFeedAfterFinish
-	}
-	if r.fleet {
-		return errFleetFeed
-	}
-	var one [1]resolved
-	if err := r.tape.resolve(e, &one[0]); err != nil {
-		return err
-	}
-	r.apply(one[:])
-	if tp := r.tape; tp.compact && tp.events-tp.lastCompactCheck >= tp.checkEvery {
-		tp.maybeCompact(r.tapeRunners)
-	}
-	return nil
-}
-
-// FeedBatch processes a batch of events in trace order: the same
-// observable behavior as calling Feed once per event, with the
-// finished/ownership checks hoisted out of the per-event path. On
-// error, events before the offending one have been applied.
-func (r *Runner) FeedBatch(events []trace.Event) error {
-	if r.finished {
-		return errFeedAfterFinish
-	}
-	if r.fleet {
-		return errFleetFeed
-	}
-	var one [1]resolved
-	tp := r.tape
-	for i := range events {
-		if err := tp.resolve(events[i], &one[0]); err != nil {
-			return err
-		}
-		r.apply(one[:])
-		// The cadence gate keys on the event count alone, so compaction
-		// points — and the checkpoint watermark — are independent of
-		// how callers batch the stream.
-		if tp.compact && tp.events-tp.lastCompactCheck >= tp.checkEvery {
-			tp.maybeCompact(r.tapeRunners)
-		}
-	}
-	return nil
-}
+// errFeedAfterFinish is allocated once so the hot entry point returns
+// it without formatting.
+var errFeedAfterFinish = errors.New("sim: FeedBatch after Finish")
 
 // apply runs resolved events through this runner's collector. The
 // events were validated by the tape, so apply cannot fail; everything
@@ -995,10 +922,7 @@ func NewFleet(cfgs []Config) (*Fleet, error) {
 	f := &Fleet{tape: tp, runners: make([]*Runner, 0, len(cfgs))}
 	seen := make(map[core.PolicyInstance]int)
 	for i, cfg := range cfgs {
-		r, err := newRunner(tp, cfg, true)
-		if err != nil {
-			return nil, err
-		}
+		r := newRunner(tp, cfg)
 		if inst := r.instance; inst != nil && reflect.TypeOf(inst).Comparable() {
 			// A shared instance would let one runner's learning leak into
 			// another's decisions — the exact hazard the per-run contract
@@ -1015,7 +939,7 @@ func NewFleet(cfgs []Config) (*Fleet, error) {
 }
 
 // Runners returns the fleet's runners in config order. They are owned
-// by the fleet: feed events through FeedBatch, not Runner.Feed.
+// by the fleet: events reach them only through FeedBatch.
 func (f *Fleet) Runners() []*Runner { return f.runners }
 
 // SnapshotPolicyState captures the adaptive-policy state of every
@@ -1074,7 +998,7 @@ func (f *Fleet) Events() int { return f.tape.events }
 // finished check and the caller's cancellation check off the per-event
 // path. On a validation error, every runner has applied exactly the
 // events before the offending one — the fleet stays consistent, and
-// the error is what Runner.Feed would have returned for that event.
+// the error is what a one-event FeedBatch would have returned.
 //
 //dtbvet:hotpath one call per replay batch: resolve once, apply N times
 func (f *Fleet) FeedBatch(events []trace.Event) error {
@@ -1115,40 +1039,44 @@ func (f *Fleet) Finish() []*Result {
 	return results
 }
 
-// Run simulates one collector over a complete in-memory trace, feeding
-// one event at a time — the per-event reference path the batched fleet
-// is diffed against. The trace must be well-formed; Run reports the
-// first inconsistency it hits as an error.
+// Run simulates one collector over a complete in-memory trace on a
+// fleet of one, fed one event per FeedBatch call — the per-event
+// reference path the batched replays are diffed against. The trace
+// must be well-formed; Run reports the first inconsistency it hits as
+// an error.
 func Run(events []trace.Event, cfg Config) (*Result, error) {
-	r, err := NewRunner(cfg)
+	f, err := NewFleet([]Config{cfg})
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range events {
-		if err := r.Feed(e); err != nil {
+	for i := range events {
+		if err := f.FeedBatch(events[i : i+1]); err != nil {
 			return nil, err
 		}
 	}
-	return r.Finish(), nil
+	return f.Finish()[0], nil
 }
 
-// RunReader simulates a collector over a streamed trace, decoding
-// events one at a time: memory use is bounded by the heap model and
-// the tape's per-object bookkeeping, not the trace length.
+// RunReader simulates a collector over a streamed trace on a fleet of
+// one, decoding events one at a time: memory use is bounded by the
+// heap model and the tape's per-object bookkeeping, not the trace
+// length.
 func RunReader(rd *trace.Reader, cfg Config) (*Result, error) {
-	r, err := NewRunner(cfg)
+	f, err := NewFleet([]Config{cfg})
 	if err != nil {
 		return nil, err
 	}
+	var one [1]trace.Event
 	for {
 		e, err := rd.Read()
 		if err == io.EOF {
-			return r.Finish(), nil
+			return f.Finish()[0], nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		if err := r.Feed(e); err != nil {
+		one[0] = e
+		if err := f.FeedBatch(one[:]); err != nil {
 			return nil, err
 		}
 	}

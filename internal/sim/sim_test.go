@@ -48,6 +48,19 @@ func mustRun(t *testing.T, events []trace.Event, cfg Config) *Result {
 	return res
 }
 
+// newSolo returns a fleet of one, the shape Run and RunReader drive.
+func newSolo(t testing.TB, cfg Config) *Fleet {
+	t.Helper()
+	f, err := NewFleet([]Config{cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// feedOne feeds a single event: Run's one-event-per-call delivery.
+func feedOne(f *Fleet, e trace.Event) error { return f.FeedBatch([]trace.Event{e}) }
+
 func TestRunRequiresPolicy(t *testing.T) {
 	if _, err := Run(nil, Config{Mode: ModePolicy}); err == nil {
 		t.Fatal("ModePolicy without policy accepted")

@@ -57,40 +57,31 @@ func TestRunReaderPropagatesDecodeErrors(t *testing.T) {
 }
 
 func TestRunnerFeedAfterFinish(t *testing.T) {
-	r, err := NewRunner(Config{Mode: ModeNoGC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Feed(trace.Alloc(1, 8, 0)); err != nil {
+	r := newSolo(t, Config{Mode: ModeNoGC})
+	if err := feedOne(r, trace.Alloc(1, 8, 0)); err != nil {
 		t.Fatal(err)
 	}
 	r.Finish()
-	if err := r.Feed(trace.Alloc(2, 8, 1)); err == nil {
-		t.Fatal("Feed after Finish accepted")
+	if err := feedOne(r, trace.Alloc(2, 8, 1)); err == nil {
+		t.Fatal("FeedBatch after Finish accepted")
 	}
 }
 
 func TestRunnerFinishIdempotent(t *testing.T) {
-	r, err := NewRunner(Config{Mode: ModeNoGC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Feed(trace.Alloc(1, 1024, 100)); err != nil {
+	r := newSolo(t, Config{Mode: ModeNoGC})
+	if err := feedOne(r, trace.Alloc(1, 1024, 100)); err != nil {
 		t.Fatal(err)
 	}
 	a := r.Finish()
 	b := r.Finish()
-	if a != b {
+	if a[0] != b[0] {
 		t.Fatal("Finish not idempotent")
 	}
 }
 
 func TestRunnerIncrementalUse(t *testing.T) {
 	// Drive the runner by hand, interleaving inspection.
-	r, err := NewRunner(Config{Policy: core.Full{}, TriggerBytes: 2 * kb})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newSolo(t, Config{Policy: core.Full{}, TriggerBytes: 2 * kb})
 	b := trace.NewBuilder()
 	for i := 0; i < 10; i++ {
 		b.Advance(100)
@@ -100,11 +91,11 @@ func TestRunnerIncrementalUse(t *testing.T) {
 		}
 	}
 	for _, e := range b.Events() {
-		if err := r.Feed(e); err != nil {
+		if err := feedOne(r, e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res := r.Finish()
+	res := r.Finish()[0]
 	if res.Collections != 5 {
 		t.Fatalf("collections = %d, want 5", res.Collections)
 	}

@@ -70,7 +70,7 @@ func TestZeroMachineStillDefaultsToPaper(t *testing.T) {
 func TestRejectedConfigEmitsNoTelemetry(t *testing.T) {
 	p := &recordingProbe{}
 	cfg := Config{Policy: core.Full{}, Machine: halfMachine, Probe: p}
-	if _, err := NewRunner(cfg); err == nil {
+	if _, err := NewFleet([]Config{cfg}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 	if len(p.events) != 0 {

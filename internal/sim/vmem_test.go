@@ -52,16 +52,13 @@ func TestPageModelStreamingMatches(t *testing.T) {
 	cfg := tinyConfig(core.Fixed{K: 1})
 	cfg.PageFrames = 8
 	direct := mustRun(t, events, cfg)
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newSolo(t, cfg)
 	for _, e := range events {
-		if err := r.Feed(e); err != nil {
+		if err := feedOne(r, e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	streamed := r.Finish()
+	streamed := r.Finish()[0]
 	if direct.PageFaults != streamed.PageFaults || direct.PageAccesses != streamed.PageAccesses {
 		t.Fatalf("incremental page counts diverged: %d/%d vs %d/%d",
 			direct.PageFaults, direct.PageAccesses, streamed.PageFaults, streamed.PageAccesses)

@@ -249,7 +249,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 						PolicySeed:   seed,
 					}
 				}
-				runs, err := engine.Replay(ctx, engine.Source(prof.GenerateTo), cfgs)
+				runs, _, err := engine.Replay(ctx, engine.Events(prof.GenerateTo), cfgs)
 				if err != nil {
 					return fmt.Errorf("tournament: %s seed %#x: %w", prof.Name, seed, err)
 				}
