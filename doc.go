@@ -22,11 +22,13 @@
 //     Tables 2, 3, 4 and 6 and the Figure 2 memory curves;
 //   - a single-pass replay engine (ReplayAll with an EventSource, a
 //     stream of event batches): one trace — from a workload generator
-//     (Events), a binary trace file (StreamSource) or a slice
-//     (SliceSource) — is fed exactly once to any number of
-//     collectors, with results bit-identical to solo Simulate calls;
-//     an interrupted replay resumes from its Checkpoint
-//     (ReplayAllResumable);
+//     (Events), a binary trace file (StreamSource, or RecoveringSource
+//     for a damaged one; both batch-decode through the one binary
+//     trace decoder, and SimulateStream is a one-collector replay of
+//     StreamSource) or a slice (SliceSource) — is fed exactly once to
+//     any number of collectors, with results bit-identical to solo
+//     Simulate calls; an interrupted replay resumes from its
+//     Checkpoint (ReplayAllResumable);
 //     the evaluation harnesses run on it under bounded parallelism
 //     with context cancellation (RunPaperEvaluationContext);
 //   - per-scavenge telemetry: a Probe set on SimOptions or EvalOptions

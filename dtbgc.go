@@ -176,10 +176,15 @@ func Simulate(events []Event, opts SimOptions) (*Result, error) {
 }
 
 // SimulateStream runs a collector over a binary trace streamed from r
-// (as written by WriteTrace), decoding events one at a time so memory
-// use is bounded by the simulated heap, not the trace length.
+// (as written by WriteTrace). It is a one-collector replay of
+// StreamSource, decoding a batch at a time into a reused buffer, so
+// memory use is bounded by the simulated heap, not the trace length.
 func SimulateStream(r io.Reader, opts SimOptions) (*Result, error) {
-	return sim.RunReader(trace.NewReader(r), opts.config())
+	results, _, err := engine.Replay(context.Background(), StreamSource(r), []sim.Config{opts.config()})
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
 }
 
 // EventSource streams one trace as event batches to an emit callback,
@@ -221,8 +226,8 @@ type DropStats = trace.DropStats
 // Auditor.NoteDrops). The strict StreamSource remains the default for
 // data whose integrity matters.
 func RecoveringSource(r io.Reader) (EventSource, func() DropStats) {
-	rr := trace.NewRecoveringReader(r)
-	return engine.EventReaderSource(rr), rr.Drops
+	rd := trace.NewRecoveringReader(r)
+	return engine.ReaderSource(rd), rd.Drops
 }
 
 // ReplayAll is the single-pass fan-out at the heart of the evaluation
@@ -350,13 +355,24 @@ func ReadTrace(r io.Reader) ([]Event, error) { return trace.NewReader(r).ReadAll
 // same value. It is the content address the dtbd daemon serves traces
 // under — `dtbd eval -trace` sends it first and uploads the bytes
 // only on a miss.
+//
+// The events are counted, not kept: they decode a batch at a time into
+// one reused buffer, so memory use is bounded by the batch size, not
+// the trace length.
 func DigestTrace(r io.Reader) (digest string, events int, err error) {
 	dr := trace.NewDigestingReader(r)
-	all, err := trace.NewReader(dr).ReadAll()
-	if err != nil {
-		return "", 0, err
+	rd := trace.NewReader(dr)
+	buf := make([]Event, 1024)
+	for {
+		n, err := rd.ReadBatch(buf)
+		events += n
+		if err == io.EOF {
+			return dr.Sum().String(), events, nil
+		}
+		if err != nil {
+			return "", 0, err
+		}
 	}
-	return dr.Sum().String(), len(all), nil
 }
 
 // WriteTraceText encodes events in the line-oriented text format.

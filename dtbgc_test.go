@@ -2,9 +2,13 @@ package dtbgc
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/dtbgc/dtbgc/internal/trace"
 )
 
 func TestPolicyConstructors(t *testing.T) {
@@ -205,6 +209,43 @@ func TestDigestTraceFacade(t *testing.T) {
 	}
 	if _, _, err := DigestTrace(bytes.NewReader(encoded[:len(encoded)-3])); err == nil {
 		t.Fatal("DigestTrace accepted a trace with a torn final record")
+	}
+}
+
+// TestDigestTraceMemoryBounded: DigestTrace counts events through one
+// reused batch buffer instead of materializing the trace, so the bytes
+// it allocates do not grow with the trace's length.
+func TestDigestTraceMemoryBounded(t *testing.T) {
+	encode := func(n int) []byte {
+		events := make([]Event, 0, 2*n)
+		for i := range n {
+			id := trace.ObjectID(i + 1)
+			events = append(events, trace.Alloc(id, 64, uint64(2*i)), trace.Free(id, uint64(2*i+1)))
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, events); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// allocated is the fewest bytes one DigestTrace call allocated over
+	// three calls, which filters out allocations by other goroutines.
+	allocated := func(enc []byte) uint64 {
+		best := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, _, err := DigestTrace(bytes.NewReader(enc)); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	one, ten := allocated(encode(20_000)), allocated(encode(200_000))
+	if ten > one+one/2 {
+		t.Fatalf("DigestTrace allocated %d bytes on a trace and %d on one 10x as long: memory grows with the trace", one, ten)
 	}
 }
 

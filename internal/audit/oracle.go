@@ -157,10 +157,10 @@ func collectorConfigs(name string, opts Options) []sim.Config {
 //     Result, History and the telemetry stream must match the fast
 //     (bucketed, epoch-compacted) path bit for bit.
 //  3. The metamorphic path re-runs every collector through the binary
-//     codec (trace.WriteAll -> RunReader) with the encoded bytes
-//     delivered in deliberately awkward chunk sizes and no probe
-//     attached; re-chunking and probe attachment must not change any
-//     result.
+//     codec (trace.WriteAll, then a one-collector engine.Replay over
+//     engine.ReaderSource) with the encoded bytes delivered in
+//     deliberately awkward chunk sizes and no probe attached;
+//     re-chunking and probe attachment must not change any result.
 //  4. Every fast-path history replays through CheckHistory, and
 //     through CheckBoundaryDiscipline for the stock policies.
 //
@@ -239,12 +239,12 @@ func AuditWorkload(ctx context.Context, p workload.Profile, opts Options) (*Repo
 			streamCfg := cfg
 			streamCfg.Probe = nil
 			rd := trace.NewReader(&chunkedReader{r: bytes.NewReader(encoded.Bytes()), n: chunk})
-			streamed, err := sim.RunReader(rd, streamCfg)
+			streamed, _, err := engine.Replay(ctx, engine.ReaderSource(rd), []sim.Config{streamCfg})
 			if err != nil {
 				return nil, fmt.Errorf("audit: %s: streamed run (chunk %d): %w", cfg.Label, chunk, err)
 			}
 			report.Runs++
-			for _, d := range DiffResults(fast[i], streamed) {
+			for _, d := range DiffResults(fast[i], streamed[0]) {
 				report.Diffs = append(report.Diffs,
 					fmt.Sprintf("%s: fast vs streamed (chunk %d, no probe): %s", cfg.Label, chunk, d))
 			}

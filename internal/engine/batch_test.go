@@ -26,9 +26,10 @@ func bigTestEvents(t *testing.T) []trace.Event {
 }
 
 // TestBatchSourcesEquivalent: every source adapter — zero-copy slice
-// batches, ReadBatch decoding, the per-event Events adapter and
-// single-event batches — must produce identical results. One
-// SliceSource value serves two replays, so it must be reusable.
+// batches, ReadBatch decoding in both decoder modes, the per-event
+// Events adapter and single-event batches — must produce identical
+// results. One SliceSource value serves two replays, so it must be
+// reusable.
 func TestBatchSourcesEquivalent(t *testing.T) {
 	events := bigTestEvents(t)
 	cfgs := testMatrix()
@@ -58,8 +59,8 @@ func TestBatchSourcesEquivalent(t *testing.T) {
 		"ReaderSource": func() Source {
 			return ReaderSource(trace.NewReader(bytes.NewReader(enc.Bytes())))
 		},
-		"EventReaderSource": func() Source {
-			return EventReaderSource(trace.NewReader(bytes.NewReader(enc.Bytes())))
+		"ReaderSource recovering": func() Source {
+			return ReaderSource(trace.NewRecoveringReader(bytes.NewReader(enc.Bytes())))
 		},
 		"single-event batches": func() Source {
 			return func(emit func([]trace.Event) error) error {

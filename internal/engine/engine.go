@@ -8,14 +8,14 @@
 // runner, so the trace is produced once per workload regardless of
 // collector count. A Source has one shape — event batches — and
 // adapters cover the trace forms: SliceSource (zero-copy subslices),
-// ReaderSource (batch decoding) and Events (a per-event producer such
-// as workload.Profile.GenerateTo), so a streamed trace never
-// materializes in memory. An interrupted Replay returns a Checkpoint
-// whose Resume continues it. RunJobs schedules those per-workload
-// replays on a bounded pool with fail-fast cancellation and
-// deterministic result assembly; every future scaling layer (policy
-// sweeps, sharded runs, learned-policy search) plugs into the same two
-// primitives.
+// ReaderSource (batch decoding through either trace.Reader mode, strict
+// or recovering) and Events (a per-event producer such as
+// workload.Profile.GenerateTo), so a streamed trace never materializes
+// in memory. An interrupted Replay returns a Checkpoint whose Resume
+// continues it. RunJobs schedules those per-workload replays on a
+// bounded pool with fail-fast cancellation and deterministic result
+// assembly; every future scaling layer (policy sweeps, sharded runs,
+// learned-policy search) plugs into the same two primitives.
 package engine
 
 import (
@@ -62,10 +62,10 @@ func SliceSource(events []trace.Event) Source {
 	}
 }
 
-// ReaderSource adapts the strict trace decoder to a Source using
-// Reader.ReadBatch: one decode loop fills a reused buffer per batch,
-// so memory use is bounded by the batch and the simulated heaps, not
-// the trace length.
+// ReaderSource adapts a trace decoder — strict or recovering, the two
+// trace.Reader modes — to a Source using Reader.ReadBatch: one decode
+// loop fills a reused buffer per batch, so memory use is bounded by
+// the batch and the simulated heaps, not the trace length.
 func ReaderSource(rd *trace.Reader) Source {
 	return func(emit func([]trace.Event) error) error {
 		buf := make([]trace.Event, replayBatchEvents)
@@ -112,32 +112,6 @@ func Events(gen func(emit func(trace.Event) error) error) Source {
 		}
 		return err
 	}
-}
-
-// EventReader is the pull-style decoder shape: Read returns the next
-// event or io.EOF at a clean end. Both trace.Reader and
-// trace.RecoveringReader satisfy it.
-type EventReader interface {
-	Read() (trace.Event, error)
-}
-
-// EventReaderSource adapts any pull-style decoder to a Source through
-// Events: events decode one at a time into the batch buffer.
-func EventReaderSource(rd EventReader) Source {
-	return Events(func(emit func(trace.Event) error) error {
-		for {
-			e, err := rd.Read()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if err := emit(e); err != nil {
-				return err
-			}
-		}
-	})
 }
 
 // Replay feeds the source's events once to one fresh runner per config

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -114,6 +115,53 @@ func TestReaderSource(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fromSlice, fromReader) {
 		t.Error("streaming replay differs from in-memory replay")
+	}
+}
+
+// TestReaderSourceMatchesSoloRun: a streamed trace replayed through
+// ReaderSource on a fleet of one — the shape SimulateStream and the
+// audit oracle's re-chunking leg use — matches sim.Run over the
+// in-memory trace, for a policy of each family and both baselines.
+func TestReaderSourceMatchesSoloRun(t *testing.T) {
+	events := testEvents(t)
+	var buf bytes.Buffer
+	if err := trace.WriteAll(&buf, events); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	for _, cfg := range testMatrix() {
+		want, err := sim.Run(events, cfg)
+		if err != nil {
+			t.Fatalf("solo run: %v", err)
+		}
+		got, _, err := Replay(context.Background(), ReaderSource(trace.NewReader(bytes.NewReader(buf.Bytes()))), []sim.Config{cfg})
+		if err != nil {
+			t.Fatalf("%s: streamed replay: %v", want.Collector, err)
+		}
+		if !reflect.DeepEqual(got[0], want) {
+			t.Errorf("%s: streamed result differs from sim.Run", want.Collector)
+		}
+	}
+}
+
+// TestReaderSourcePropagatesDecodeErrors: a stream cut one byte short
+// fails the replay with the strict decoder's io.ErrUnexpectedEOF, not
+// a clean end, and the events decoded before the tear still reached
+// the runners (the checkpoint counts them).
+func TestReaderSourcePropagatesDecodeErrors(t *testing.T) {
+	events := testEvents(t)
+	var buf bytes.Buffer
+	if err := trace.WriteAll(&buf, events); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	// Every record is at least three bytes, so dropping one byte cuts
+	// the final record and nothing before it.
+	truncated := buf.Bytes()[:buf.Len()-1]
+	_, cp, err := Replay(context.Background(), ReaderSource(trace.NewReader(bytes.NewReader(truncated))), []sim.Config{{Policy: core.Full{}}})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Replay error = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if cp == nil || cp.Events() != len(events)-1 {
+		t.Fatalf("checkpoint = %v, want one at event %d", cp, len(events)-1)
 	}
 }
 

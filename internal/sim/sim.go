@@ -14,15 +14,14 @@
 // runners so a fan-out replay pays for decoding, validation and
 // liveness accounting once instead of once per collector, and its
 // FeedBatch is the one loop every event goes through. Run simulates an
-// in-memory trace and RunReader streams events from a decoder so
-// arbitrarily long traces simulate in constant memory; both are a
-// fleet of one.
+// in-memory trace on a fleet of one; streamed traces replay through
+// the engine package, which feeds a fleet from a decoder in batches so
+// arbitrarily long traces simulate in constant memory.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"reflect"
 	"sort"
@@ -1055,29 +1054,4 @@ func Run(events []trace.Event, cfg Config) (*Result, error) {
 		}
 	}
 	return f.Finish()[0], nil
-}
-
-// RunReader simulates a collector over a streamed trace on a fleet of
-// one, decoding events one at a time: memory use is bounded by the
-// heap model and the tape's per-object bookkeeping, not the trace
-// length.
-func RunReader(rd *trace.Reader, cfg Config) (*Result, error) {
-	f, err := NewFleet([]Config{cfg})
-	if err != nil {
-		return nil, err
-	}
-	var one [1]trace.Event
-	for {
-		e, err := rd.Read()
-		if err == io.EOF {
-			return f.Finish()[0], nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		one[0] = e
-		if err := f.FeedBatch(one[:]); err != nil {
-			return nil, err
-		}
-	}
 }

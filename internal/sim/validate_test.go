@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"github.com/dtbgc/dtbgc/internal/core"
-	"github.com/dtbgc/dtbgc/internal/trace"
 )
 
 func TestMachineValidate(t *testing.T) {
@@ -40,17 +38,6 @@ func TestRunRejectsInvalidMachine(t *testing.T) {
 	cfg := Config{Policy: core.Full{}, Machine: halfMachine}
 	if _, err := Run(churnTrace(50, 256, 8, 0), cfg); err == nil {
 		t.Fatal("half-built machine accepted by Run")
-	}
-}
-
-func TestRunReaderRejectsInvalidMachine(t *testing.T) {
-	var buf bytes.Buffer
-	if err := trace.WriteAll(&buf, churnTrace(50, 256, 8, 0)); err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Policy: core.Full{}, Machine: halfMachine}
-	if _, err := RunReader(trace.NewReader(&buf), cfg); err == nil {
-		t.Fatal("half-built machine accepted by RunReader")
 	}
 }
 

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -118,104 +120,140 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
-// Reader decodes events from the binary format.
+// Reader decodes events from the binary format. Both constructors
+// return one: the record decoder is shared, and only the error policy
+// differs. A strict Reader (NewReader) stops at the first corrupt
+// record with its decode error and reports a stream that ends inside a
+// record as io.ErrUnexpectedEOF. A recovering Reader
+// (NewRecoveringReader) resyncs past corrupt records and absorbs a
+// torn tail, accounting for both in Drops (see recover.go). The header
+// is strict in both modes.
 type Reader struct {
-	r         *bufio.Reader
-	readHdr   bool
-	lastInstr uint64
+	r          io.Reader
+	buf        []byte
+	start, end int // the undecoded window within buf
+	eof        bool
+	readHdr    bool
+	recovering bool
+	lastInstr  uint64
+	drops      DropStats
+	inSkip     bool  // mid resync-episode
+	readErr    error // a read error that arrived with data, held until that data is decoded
 }
 
-// NewReader returns a Reader decoding from r.
+// NewReader returns a strict Reader decoding from r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+	return &Reader{r: r}
 }
 
-func (r *Reader) checkHeader() error {
-	if r.readHdr {
-		return nil
-	}
-	r.readHdr = true
-	hdr := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(r.r, hdr); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("%w: truncated header", ErrBadMagic)
-		}
+// NewRecoveringReader returns a recovery-mode Reader decoding from r.
+// Use it where a partial answer over a damaged capture beats no answer
+// — and always surface Drops; the strict NewReader remains the default
+// for data whose integrity matters.
+func NewRecoveringReader(r io.Reader) *Reader {
+	return &Reader{r: r, recovering: true}
+}
+
+// readChunk is the decode window's initial size and so the usual size
+// of one read: a few hundred records per read call, and little memory
+// per open decoder (the daemon holds one per upload in flight).
+const readChunk = 4096
+
+// fill reads more input into the window, setting eof at stream end.
+// A read error that comes with data is returned by the next fill, so
+// the records that data completes decode first, as io.Reader asks.
+func (r *Reader) fill() error {
+	if err := r.readErr; err != nil {
+		r.readErr = nil
 		return err
 	}
-	for i, b := range binaryMagic {
-		if hdr[i] != b {
-			return ErrBadMagic
-		}
+	// Compact before reading: keep the window at the buffer's front.
+	if r.start > 0 {
+		r.end = copy(r.buf, r.buf[r.start:r.end])
+		r.start = 0
+	}
+	// Grow only when one record outgrows the buffer (a long mark
+	// label); otherwise the buffer is reused for the whole stream.
+	if r.end == len(r.buf) {
+		r.buf = append(r.buf, make([]byte, max(readChunk, len(r.buf)))...)
+	}
+	n, err := r.r.Read(r.buf[r.end:])
+	r.end += n
+	switch {
+	case err == io.EOF:
+		r.eof = true
+	case err != nil && n > 0:
+		r.readErr = err
+	case err != nil:
+		return err
 	}
 	return nil
 }
 
+// window returns the undecoded bytes currently buffered.
+func (r *Reader) window() []byte { return r.buf[r.start:r.end] }
+
+// header consumes and verifies the magic.
+func (r *Reader) header() error {
+	for r.end-r.start < len(binaryMagic) && !r.eof {
+		if err := r.fill(); err != nil {
+			return err
+		}
+	}
+	if r.end-r.start < len(binaryMagic) {
+		return fmt.Errorf("%w: truncated header", ErrBadMagic)
+	}
+	if !bytes.Equal(r.window()[:len(binaryMagic)], binaryMagic) {
+		return ErrBadMagic
+	}
+	r.start += len(binaryMagic)
+	r.readHdr = true
+	return nil
+}
+
 // Read decodes the next event. It returns io.EOF at a clean end of
-// stream.
+// stream; for a recovering Reader, Drops is final by then. A strict
+// Reader returns any decode error. A recovering Reader absorbs damaged
+// content, so its only errors are a damaged header and real I/O
+// failures from the underlying reader.
 func (r *Reader) Read() (Event, error) {
-	if err := r.checkHeader(); err != nil {
-		return Event{}, err
+	if !r.readHdr {
+		if err := r.header(); err != nil {
+			return Event{}, err
+		}
 	}
-	kb, err := r.r.ReadByte()
-	if err != nil {
-		return Event{}, err // io.EOF here is the clean end
+	for {
+		e, n, err := decodeRecord(r.window(), r.lastInstr)
+		switch {
+		case err == nil:
+			r.closeEpisode()
+			r.start += n
+			r.lastInstr = e.Instr
+			return e, nil
+		case err == errShortRecord:
+			if !r.eof {
+				if err := r.fill(); err != nil {
+					return Event{}, err
+				}
+				continue
+			}
+			if r.start < r.end {
+				// The stream ended inside a record.
+				if !r.recovering {
+					return Event{}, io.ErrUnexpectedEOF
+				}
+				if r.dropTail() {
+					continue
+				}
+			}
+			r.closeEpisode()
+			return Event{}, io.EOF
+		case r.recovering:
+			r.skipByte()
+		default:
+			return Event{}, err
+		}
 	}
-	e := Event{Kind: Kind(kb)}
-	switch e.Kind {
-	case KindAlloc:
-		id, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		size, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		e.ID, e.Size = ObjectID(id), size
-	case KindFree:
-		id, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		e.ID = ObjectID(id)
-	case KindPtrWrite:
-		id, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		field, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		target, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		e.ID, e.Field, e.Target = ObjectID(id), uint32(field), ObjectID(target)
-	case KindMark:
-		n, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		const maxLabel = 1 << 20
-		if n > maxLabel {
-			return Event{}, fmt.Errorf("trace: mark label length %d exceeds limit", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r.r, buf); err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		e.Label = string(buf)
-	default:
-		return Event{}, fmt.Errorf("trace: unknown event kind byte %d", kb)
-	}
-	d, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return Event{}, unexpectedEOF(err)
-	}
-	r.lastInstr += d
-	e.Instr = r.lastInstr
-	return e, nil
 }
 
 // ReadBatch decodes up to len(dst) events into dst and returns how
@@ -228,22 +266,17 @@ func (r *Reader) Read() (Event, error) {
 //
 //dtbvet:hotpath one call per replay batch, decoding the whole frame
 func (r *Reader) ReadBatch(dst []Event) (int, error) {
-	n := 0
-	for n < len(dst) {
+	for n := range dst {
 		e, err := r.Read()
-		if err == io.EOF {
-			if n > 0 {
-				return n, nil
-			}
-			return 0, io.EOF
+		if err == io.EOF && n > 0 {
+			return n, nil
 		}
 		if err != nil {
 			return n, err
 		}
 		dst[n] = e
-		n++
 	}
-	return n, nil
+	return len(dst), nil
 }
 
 // ReadAll decodes the remainder of the stream.
@@ -261,11 +294,113 @@ func (r *Reader) ReadAll() ([]Event, error) {
 	}
 }
 
-func unexpectedEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+// The decode errors that need no formatting: sentinels keep a resync
+// over garbage free of per-attempt allocation.
+var (
+	// errShortRecord says the buffer ended before the record did; with
+	// more input it might still decode.
+	errShortRecord    = errors.New("trace: record extends past available bytes")
+	errVarintOverflow = errors.New("trace: varint overflows uint64")
+	errNonCanonical   = errors.New("trace: non-canonical varint (overlong encoding)")
+	errClockOverflow  = errors.New("trace: instruction clock overflows uint64")
+)
+
+// uvarintAt decodes a uvarint from b, distinguishing "need more bytes"
+// from "corrupt encoding". Only the canonical (shortest) encoding of a
+// value is accepted, so every event has exactly one encoding and a
+// decoded stream re-encodes to its own bytes.
+func uvarintAt(b []byte) (uint64, int, error) {
+	v, n := binary.Uvarint(b)
+	switch {
+	case n > 1 && b[n-1] == 0:
+		return 0, 0, errNonCanonical
+	case n > 0:
+		return v, n, nil
+	case n < 0:
+		return 0, 0, errVarintOverflow
 	}
-	return err
+	return 0, 0, errShortRecord
+}
+
+// decodeRecord is the binary format's one record decoder. It decodes
+// one event record from the start of b, given the previous record's
+// instruction clock, and returns the event, the record's encoded
+// length, and nil; errShortRecord when b is a proper prefix of a
+// possibly-valid record; or a descriptive error when the bytes cannot
+// begin a record. Every error but errShortRecord is decided by the
+// bytes seen so far, so the outcome never depends on how the stream
+// was cut into reads.
+func decodeRecord(b []byte, lastInstr uint64) (Event, int, error) {
+	if len(b) == 0 {
+		return Event{}, 0, errShortRecord
+	}
+	e := Event{Kind: Kind(b[0])}
+	pos := 1
+	uv := func() (uint64, error) {
+		v, n, err := uvarintAt(b[pos:])
+		pos += n
+		return v, err
+	}
+	switch e.Kind {
+	case KindAlloc:
+		id, err := uv()
+		if err != nil {
+			return Event{}, 0, err
+		}
+		size, err := uv()
+		if err != nil {
+			return Event{}, 0, err
+		}
+		e.ID, e.Size = ObjectID(id), size
+	case KindFree:
+		id, err := uv()
+		if err != nil {
+			return Event{}, 0, err
+		}
+		e.ID = ObjectID(id)
+	case KindPtrWrite:
+		id, err := uv()
+		if err != nil {
+			return Event{}, 0, err
+		}
+		field, err := uv()
+		if err != nil {
+			return Event{}, 0, err
+		}
+		if field > math.MaxUint32 {
+			return Event{}, 0, fmt.Errorf("trace: pointer field %d exceeds uint32", field)
+		}
+		target, err := uv()
+		if err != nil {
+			return Event{}, 0, err
+		}
+		e.ID, e.Field, e.Target = ObjectID(id), uint32(field), ObjectID(target)
+	case KindMark:
+		n, err := uv()
+		if err != nil {
+			return Event{}, 0, err
+		}
+		const maxLabel = 1 << 20
+		if n > maxLabel {
+			return Event{}, 0, fmt.Errorf("trace: mark label length %d exceeds limit", n)
+		}
+		if uint64(len(b)-pos) < n {
+			return Event{}, 0, errShortRecord
+		}
+		e.Label = string(b[pos : pos+int(n)])
+		pos += int(n)
+	default:
+		return Event{}, 0, fmt.Errorf("trace: unknown event kind byte %d", b[0])
+	}
+	d, err := uv()
+	if err != nil {
+		return Event{}, 0, err
+	}
+	e.Instr = lastInstr + d
+	if e.Instr < lastInstr {
+		return Event{}, 0, errClockOverflow
+	}
+	return e, pos, nil
 }
 
 // WriteAll encodes a whole trace to w in the binary format.

@@ -2,10 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"github.com/dtbgc/dtbgc/internal/xrand"
@@ -369,5 +373,147 @@ func TestReadBatchEmptyTrace(t *testing.T) {
 	n, err := r.ReadBatch(make([]Event, 4))
 	if n != 0 || err != io.EOF {
 		t.Fatalf("empty trace ReadBatch = (%d, %v), want (0, io.EOF)", n, err)
+	}
+}
+
+// nonCanonicalStreams are well-headed streams no Writer produces, one
+// per way a record can be malformed without being truncated or of an
+// unknown kind. A decoder that accepts them breaks the codec's
+// one-encoding-per-event rule: each decodes (or used to) to events
+// whose re-encoding differs from the input.
+func nonCanonicalStreams() []struct {
+	name string
+	data []byte
+} {
+	stream := func(records ...[]byte) []byte {
+		return slices.Concat(append([][]byte{binaryMagic}, records...)...)
+	}
+	uv := binary.AppendUvarint
+	return []struct {
+		name string
+		data []byte
+	}{
+		// Alloc(1, 64, 0) with its clock delta 0 spelled 80 00.
+		{"overlong varint", stream([]byte{byte(KindAlloc), 0x01, 0x40, 0x80, 0x00})},
+		// Two marks whose deltas sum past 2^64: the clock would wrap
+		// from 2^63 back to 1.
+		{"clock wraps", stream(
+			uv([]byte{byte(KindMark), 0x00}, 1<<63),
+			uv([]byte{byte(KindMark), 0x00}, 1<<63+1))},
+		// A pointer store into field 2^32+5, which Event.Field would
+		// truncate to 5.
+		{"field exceeds uint32", stream(
+			append(uv([]byte{byte(KindPtrWrite), 0x01}, 1<<32+5), 0x02, 0x00))},
+	}
+}
+
+// TestDecoderRejectsNonCanonical: each non-canonical record is a
+// decode error for the strict mode and a corrupt record for the
+// recovering one.
+func TestDecoderRejectsNonCanonical(t *testing.T) {
+	for _, nc := range nonCanonicalStreams() {
+		if events, err := NewReader(bytes.NewReader(nc.data)).ReadAll(); err == nil {
+			t.Errorf("%s: strict decode accepted it as %v", nc.name, events)
+		}
+		rr := NewRecoveringReader(bytes.NewReader(nc.data))
+		if _, err := rr.ReadAll(); err != nil {
+			t.Fatalf("%s: recovery failed: %v", nc.name, err)
+		}
+		if rr.Drops().CorruptRecords == 0 {
+			t.Errorf("%s: recovery counted no corrupt record: %+v", nc.name, rr.Drops())
+		}
+	}
+}
+
+// errAfterReader returns the first n bytes of data and err with the
+// last of them, the (n > 0, err) shape io.Reader allows.
+type errAfterReader struct {
+	data []byte
+	n    int
+	err  error
+}
+
+func (r *errAfterReader) Read(p []byte) (int, error) {
+	k := copy(p[:min(len(p), r.n)], r.data)
+	r.data, r.n = r.data[k:], r.n-k
+	if r.n == 0 {
+		return k, r.err
+	}
+	return k, nil
+}
+
+// TestStrictErrorContract pins the strict decoder's errors at every
+// cut point of a stream: a cut inside the header is ErrBadMagic, a cut
+// inside a record is io.ErrUnexpectedEOF, a cut between records is a
+// clean end with the prefix decoded, and a read error anywhere
+// surfaces through ReadAll unchanged, after every record the bytes
+// before it complete. Reads are one byte at a time too, so every
+// record straddles a buffer boundary.
+func TestStrictErrorContract(t *testing.T) {
+	events := sampleTrace()
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// complete[off] counts the events whose records end at or before
+	// byte off; boundary[off] says a record (or the header) ends there.
+	complete := make([]int, len(data)+1)
+	boundary := map[int]bool{}
+	for i, off := range recordOffsets(t, events) {
+		boundary[off] = true
+		for ; off <= len(data); off++ {
+			complete[off] = i
+		}
+	}
+	errRead := errors.New("injected read error")
+	for cut := 0; cut <= len(data); cut++ {
+		got, err := NewReader(iotest.OneByteReader(bytes.NewReader(data[:cut]))).ReadAll()
+		k := complete[cut]
+		switch {
+		case cut < len(binaryMagic):
+			if !errors.Is(err, ErrBadMagic) {
+				t.Errorf("cut %d inside the header: %v, want ErrBadMagic", cut, err)
+			}
+		case boundary[cut]:
+			if err != nil || !slices.Equal(got, events[:k]) {
+				t.Errorf("cut %d between records: %d events, %v; want the first %d", cut, len(got), err, k)
+			}
+		default:
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("cut %d inside a record: %v, want io.ErrUnexpectedEOF", cut, err)
+			}
+		}
+		if cut < len(data) {
+			got, err := NewReader(&errAfterReader{data: data, n: cut, err: errRead}).ReadAll()
+			if !errors.Is(err, errRead) {
+				t.Errorf("read error after %d bytes: ReadAll returned %v", cut, err)
+			}
+			if cut > len(binaryMagic) && !slices.Equal(got, events[:k]) {
+				t.Errorf("read error after %d bytes: decoded %d events first, want %d", cut, len(got), k)
+			}
+		}
+	}
+	// A damaged magic byte is ErrBadMagic in both modes.
+	bad := slices.Clone(data)
+	bad[2] ^= 0xFF
+	for _, rd := range []*Reader{NewReader(bytes.NewReader(bad)), NewRecoveringReader(bytes.NewReader(bad))} {
+		if _, err := rd.ReadAll(); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("damaged magic: %v, want ErrBadMagic", err)
+		}
+	}
+}
+
+// TestLongMarkLabelOutgrowsWindow: a record longer than the decoder's
+// read window grows the buffer instead of being taken for a torn one.
+func TestLongMarkLabelOutgrowsWindow(t *testing.T) {
+	events := []Event{Alloc(1, 8, 0), Mark(strings.Repeat("x", 3*readChunk+17), 4), Free(1, 9)}
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewReader(&buf).ReadAll()
+	if err != nil || !slices.Equal(got, events) {
+		t.Fatalf("long label: %d events, %v", len(got), err)
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -35,7 +36,9 @@ func FuzzReadText(f *testing.F) {
 }
 
 // FuzzReader: the binary decoder must never panic or over-allocate on
-// corrupt streams.
+// corrupt streams, and must accept only canonical encodings: a cleanly
+// decoded stream re-encodes to exactly its own bytes, which is what
+// makes a trace's digest independent of the route its events took.
 func FuzzReader(f *testing.F) {
 	good := func(events []Event) []byte {
 		var buf bytes.Buffer
@@ -49,22 +52,28 @@ func FuzzReader(f *testing.F) {
 	f.Add(good([]Event{Mark("m", 1), PtrWrite(1, 2, 3, 4)}))
 	f.Add([]byte("DTBT\x01\xff\xff\xff"))
 	f.Add([]byte("garbage"))
+	for _, nc := range nonCanonicalStreams() {
+		f.Add(nc.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := NewReader(bytes.NewReader(data)).ReadAll()
 		if err != nil {
 			return
 		}
-		// A cleanly decoded stream re-encodes, provided its clock is
-		// monotone (the decoder guarantees that by construction).
-		if err := WriteAll(bytes.NewBuffer(nil), events); err != nil {
+		var buf bytes.Buffer
+		if err := WriteAll(&buf, events); err != nil {
 			t.Fatalf("decoded events failed to re-encode: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("decoded stream re-encodes to different bytes:\n  in %x\n out %x", data, buf.Bytes())
 		}
 	})
 }
 
 // FuzzRecoveringReader: recovery must terminate on any input (resync
 // advances at least one byte per attempt), keep its drop accounting
-// exact, and salvage only well-formed traces.
+// exact, salvage only well-formed traces, and agree with the strict
+// decoder wherever that one succeeds.
 func FuzzRecoveringReader(f *testing.F) {
 	good := func(events []Event) []byte {
 		var buf bytes.Buffer
@@ -80,6 +89,9 @@ func FuzzRecoveringReader(f *testing.F) {
 	f.Add(append(good(nil), 0xFF, 0xFF, 0x01, 0x02)) // garbage body
 	f.Add([]byte("DTBT\x01"))                        // header only
 	f.Add([]byte("garbage"))                         // damaged header
+	for _, nc := range nonCanonicalStreams() {
+		f.Add(nc.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rr := NewRecoveringReader(bytes.NewReader(data))
 		events, err := rr.ReadAll()
@@ -102,8 +114,15 @@ func FuzzRecoveringReader(f *testing.F) {
 		if body := uint64(len(data) - len(binaryMagic)); drops.BytesDropped > body {
 			t.Fatalf("dropped %d bytes from a %d-byte body", drops.BytesDropped, body)
 		}
-		if rr.Events() != len(events) {
-			t.Fatalf("Events()=%d but %d events decoded", rr.Events(), len(events))
+		// Both modes share one record decoder: on a stream the strict
+		// mode accepts, recovery has nothing to do.
+		if strict, err := NewReader(bytes.NewReader(data)).ReadAll(); err == nil {
+			if drops.Any() {
+				t.Fatalf("strict decode succeeded but recovery dropped: %+v", drops)
+			}
+			if !slices.Equal(strict, events) {
+				t.Fatalf("recovered events differ from the strict decode:\n got %v\nwant %v", events, strict)
+			}
 		}
 		// The clock is monotone even across resync gaps.
 		for i := 1; i < len(events); i++ {
