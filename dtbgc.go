@@ -337,7 +337,8 @@ func FitWorkload(events []Event, name string) (Workload, error) {
 // function on the allocation clock.
 type LifetimeStats = trace.LifetimeStats
 
-// MeasureLifetimes computes LifetimeStats for a trace.
+// MeasureLifetimes computes LifetimeStats for a trace. It rejects a
+// malformed trace with ValidateTrace's error.
 func MeasureLifetimes(events []Event) (*LifetimeStats, error) {
 	return trace.MeasureLifetimes(events)
 }
@@ -390,7 +391,9 @@ func ValidateTrace(events []Event) error { return trace.Validate(events) }
 // start are re-introduced with synthetic allocations (original
 // relative ages preserved), so the result passes ValidateTrace and can
 // drive Simulate directly. Use it to skip a capture's warm-up or to
-// isolate one program phase.
+// isolate one program phase. The input must validate; WindowTrace
+// returns ValidateTrace's error for the first malformed event up to
+// the window's end.
 func WindowTrace(events []Event, from, to uint64) ([]Event, error) {
 	return trace.Window(events, from, to)
 }
@@ -402,7 +405,8 @@ func WindowTrace(events []Event, from, to uint64) ([]Event, error) {
 type ForwardStats = trace.ForwardStats
 
 // MeasureForwardPointers computes ForwardStats for a trace (the
-// mini-applications' traces include pointer-store events).
+// mini-applications' traces include pointer-store events). It rejects
+// a malformed trace with ValidateTrace's error.
 func MeasureForwardPointers(events []Event) (ForwardStats, error) {
 	return trace.MeasureForward(events)
 }

@@ -476,15 +476,25 @@ func TestMemoKeyDistinguishesKnobs(t *testing.T) {
 		}
 		seen[key] = i
 	}
-	// And the serving knob must NOT split the key: a deadline-bounded
-	// request may reuse the unbounded result.
-	r := base
-	r.DeadlineMs = 5000
-	if err := r.normalize(); err != nil {
-		t.Fatalf("normalize deadline variant: %v", err)
+	// And knobs that cannot change the result must NOT split the key:
+	// a deadline-bounded request may reuse the unbounded result, and a
+	// page size without page frames configures no page model.
+	same := []struct {
+		name   string
+		mutate func(*EvalRequest)
+	}{
+		{"DeadlineMs, a serving knob", func(r *EvalRequest) { r.DeadlineMs = 5000 }},
+		{"PageBytes without PageFrames", func(r *EvalRequest) { r.PageBytes = 8192 }},
 	}
-	if r.memoKey() != baseKey {
-		t.Errorf("DeadlineMs changed the memo key; it is a serving knob, not a result knob")
+	for _, c := range same {
+		r := base
+		c.mutate(&r)
+		if err := r.normalize(); err != nil {
+			t.Fatalf("normalize %s variant: %v", c.name, err)
+		}
+		if r.memoKey() != baseKey {
+			t.Errorf("%s changed the memo key", c.name)
+		}
 	}
 }
 

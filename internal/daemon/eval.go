@@ -1,8 +1,8 @@
 // Package daemon is the simulation-as-a-service layer: a long-running
 // HTTP/JSON server (dtbd) that accepts policy-evaluation requests —
 // a workload or an uploaded trace × a policy spec × a machine model —
-// schedules them on the engine's bounded cancellable pool, and
-// returns results bit-identical to the CLI path over the same inputs.
+// runs each admitted one as a cancellable replay, and returns results
+// bit-identical to the CLI path over the same inputs.
 //
 // The serving economics rest on two content-addressed caches (see
 // cache.go): uploaded traces are stream-hashed at decode time into a
@@ -31,7 +31,6 @@ import (
 	"time"
 
 	dtbgc "github.com/dtbgc/dtbgc"
-	"github.com/dtbgc/dtbgc/internal/engine"
 	"github.com/dtbgc/dtbgc/internal/trace"
 )
 
@@ -182,7 +181,10 @@ func (r *EvalRequest) normalize() error {
 	if r.PageFrames < 0 {
 		return badRequestf("page_frames %d cannot be negative", r.PageFrames)
 	}
-	if r.PageFrames > 0 && r.PageBytes == 0 {
+	switch {
+	case r.PageFrames == 0:
+		r.PageBytes = 0 // no page model, so the page size changes nothing
+	case r.PageBytes == 0:
 		r.PageBytes = 4096
 	}
 	if r.DeadlineMs < 0 {
@@ -257,16 +259,14 @@ func (r *EvalRequest) options(probe dtbgc.Probe) (dtbgc.SimOptions, error) {
 	return opts, nil
 }
 
-// evaluate runs one cold evaluation on the bounded pool and returns
-// the marshaled memo payload. The request must be normalized. The
-// caller holds a worker slot.
+// evaluate runs one cold evaluation on the calling goroutine and
+// returns the marshaled memo payload. The request must be normalized.
+// The caller holds a worker slot, so admission alone bounds how many
+// evaluations run at once.
 //
-// The per-request deadline is created INSIDE the pool job: when it
-// expires, the job returns its own context.DeadlineExceeded while the
-// pool's context is still live — exactly the job-originated
-// cancellation the fixed engine.RunJobs classification surfaces. (On
-// the old pool code that expiry was swallowed and the daemon would
-// have served a nil result as success.)
+// An expired per-request deadline surfaces as the replay's
+// context.DeadlineExceeded (504); a client that went away cancels ctx
+// and surfaces as context.Canceled (499).
 func (s *Server) evaluate(ctx context.Context, req *EvalRequest) (payload []byte, tapeHit bool, err error) {
 	var telBuf bytes.Buffer
 	var tw *dtbgc.TelemetryWriter
@@ -284,35 +284,32 @@ func (s *Server) evaluate(ctx context.Context, req *EvalRequest) (payload []byte
 		return nil, false, err
 	}
 
-	var results []*dtbgc.Result
-	job := func(jctx context.Context) error {
-		if req.DeadlineMs > 0 {
-			var cancel context.CancelFunc
-			jctx, cancel = context.WithTimeout(jctx, time.Duration(req.DeadlineMs)*time.Millisecond)
-			defer cancel()
+	if req.DeadlineMs > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
+		defer cancel()
+	}
+	var src dtbgc.EventSource
+	if req.TraceDigest != "" {
+		d, derr := trace.ParseDigest(req.TraceDigest)
+		if derr != nil {
+			return nil, false, derr
 		}
-		var rerr error
-		if req.TraceDigest != "" {
-			d, derr := trace.ParseDigest(req.TraceDigest)
-			if derr != nil {
-				return derr
-			}
-			events, ok := s.tapes.get(d)
-			if !ok {
-				return &ErrUnknownTrace{Digest: req.TraceDigest}
-			}
-			tapeHit = true
-			results, rerr = dtbgc.ReplayAll(jctx, dtbgc.SliceSource(events), []dtbgc.SimOptions{opts})
-			return rerr
+		events, ok := s.tapes.get(d)
+		if !ok {
+			return nil, false, &ErrUnknownTrace{Digest: req.TraceDigest}
 		}
+		tapeHit = true
+		src = dtbgc.SliceSource(events)
+	} else {
 		w, lerr := dtbgc.LookupWorkload(req.Workload)
 		if lerr != nil {
-			return lerr
+			return nil, false, lerr
 		}
-		results, rerr = dtbgc.ReplayAll(jctx, dtbgc.Events(w.Scale(req.Scale).GenerateTo), []dtbgc.SimOptions{opts})
-		return rerr
+		src = dtbgc.Events(w.Scale(req.Scale).GenerateTo)
 	}
-	if err := engine.RunJobs(ctx, 1, []engine.Job{job}); err != nil {
+	results, err := dtbgc.ReplayAll(ctx, src, []dtbgc.SimOptions{opts})
+	if err != nil {
 		return nil, tapeHit, err
 	}
 	if tw != nil {

@@ -264,16 +264,16 @@ const birthBucketShift = 16
 func birthBucket(t core.Time) uint64 { return t.Bytes() >> birthBucketShift }
 
 // resolved is one trace event after tape resolution: object identity
-// replaced by a dense ordinal, sizes and the allocation clock already
-// computed, validation already done. Applying a resolved event to a
-// runner touches no maps and cannot fail, which is what makes the
-// fan-out apply loop tight.
+// replaced by a dense ordinal, sizes already looked up, validation
+// already done. The event's instruction time and the allocation clock
+// after it are the tape's own clocks, which do not move until every
+// runner has applied the event. Applying a resolved event to a runner
+// touches no maps and cannot fail, which is what makes the fan-out
+// apply loop tight.
 type resolved struct {
-	kind  trace.Kind
-	ord   int32 // alloc: new ordinal; free/ptrwrite: target (-1 if unknown)
-	size  uint64
-	instr uint64
-	clock core.Time // allocation clock after this event
+	kind trace.Kind
+	ord  int32 // alloc: new ordinal; free/ptrwrite: target (-1 if unknown)
+	size uint64
 }
 
 // tape is the collector-independent view of a replayed trace: every
@@ -337,6 +337,9 @@ type tape struct {
 	ordLimit       int
 	maxBuckets     uint64
 
+	// The tape's clocks: the allocation clock, the instruction time
+	// of the last resolved event, and the count of resolved events.
+	// Runners read them instead of keeping copies.
 	clock     core.Time
 	lastInstr uint64
 	events    int
@@ -395,7 +398,7 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 			tp.liveByBirth = growBuckets(tp.liveByBirth, rb+1)
 		}
 		tp.liveByBirth[rb] += e.Size
-		*out = resolved{kind: trace.KindAlloc, ord: ord, size: e.Size, instr: e.Instr, clock: clock}
+		*out = resolved{kind: trace.KindAlloc, ord: ord, size: e.Size}
 	case trace.KindFree:
 		ord, ok := tp.index[e.ID]
 		if !ok {
@@ -417,7 +420,7 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		// never be part of a trimmed (all-dead) prefix: the subtraction
 		// index is always in range.
 		tp.liveByBirth[birthBucket(tp.births[ord])-tp.bucketBase] -= size
-		*out = resolved{kind: trace.KindFree, ord: ord, size: size, instr: e.Instr, clock: tp.clock}
+		*out = resolved{kind: trace.KindFree, ord: ord, size: size}
 	case trace.KindPtrWrite:
 		// Pointer stores do not affect the oracle liveness; the target
 		// ordinal is resolved here so the virtual-memory model can
@@ -430,9 +433,9 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		if !ok {
 			ord = -1
 		}
-		*out = resolved{kind: trace.KindPtrWrite, ord: ord, instr: e.Instr, clock: tp.clock}
+		*out = resolved{kind: trace.KindPtrWrite, ord: ord}
 	case trace.KindMark:
-		*out = resolved{kind: trace.KindMark, ord: -1, instr: e.Instr, clock: tp.clock}
+		*out = resolved{kind: trace.KindMark, ord: -1}
 	default:
 		return fmt.Errorf("sim: event %d: unknown kind %d", i, e.Kind)
 	}
@@ -556,16 +559,17 @@ type Runner struct {
 	opportunistic bool
 	hasProbe      bool
 
-	clock         core.Time
+	// Trigger and sampling state; the clocks it runs against are the
+	// tape's. liveStat stays per runner although every runner samples the same
+	// tape.live: an opportunistic runner also samples at Mark-triggered
+	// scavenges, so its sample instants — and the rounding of its
+	// float64 sums — differ from its neighbours'.
 	sinceTrigger  uint64
 	sinceProgress uint64
 	memStat       stats.Weighted
 	liveStat      stats.Weighted
-	lastInstr     uint64
-	nEvents       int
 	curve         *stats.Series
 	liveCurve     *stats.Series
-	finished      bool
 
 	// Virtual-memory model (nil unless configured). Placement is per
 	// runner: survivors relocate at scavenges, so addresses diverge
@@ -660,7 +664,7 @@ func derivePolicySeed(userSeed uint64, label, collector string) uint64 {
 func (r *Runner) memInUse() uint64 {
 	switch r.cfg.Mode {
 	case ModeNoGC:
-		return r.clock.Bytes() // cumulative allocation, frees ignored
+		return r.tape.clock.Bytes() // cumulative allocation, frees ignored
 	case ModeLive:
 		return r.tape.live
 	default:
@@ -668,13 +672,16 @@ func (r *Runner) memInUse() uint64 {
 	}
 }
 
-func (r *Runner) sample(instr uint64) {
+// sample records memory in use and live bytes at the event being
+// applied.
+func (r *Runner) sample() {
+	tp := r.tape
 	m := r.memInUse()
-	r.memStat.Observe(float64(instr), float64(m))
-	r.liveStat.Observe(float64(instr), float64(r.tape.live))
+	r.memStat.Observe(float64(tp.lastInstr), float64(m))
+	r.liveStat.Observe(float64(tp.lastInstr), float64(tp.live))
 	if r.curve != nil {
-		r.curve.Append(float64(r.clock), float64(m))
-		r.liveCurve.Append(float64(r.clock), float64(r.tape.live))
+		r.curve.Append(float64(tp.clock), float64(m))
+		r.liveCurve.Append(float64(tp.clock), float64(tp.live))
 	}
 }
 
@@ -682,95 +689,90 @@ func (r *Runner) sample(instr uint64) {
 // it without formatting.
 var errFeedAfterFinish = errors.New("sim: FeedBatch after Finish")
 
-// apply runs resolved events through this runner's collector. The
-// events were validated by the tape, so apply cannot fail; everything
-// per event here is per-collector work (memory accounting, trigger
-// bookkeeping, sampling, scavenges).
+// apply runs the event the tape just resolved through this runner's
+// collector. The event was validated by the tape, so apply cannot
+// fail; everything here is per-collector work (memory accounting,
+// trigger bookkeeping, sampling, scavenges).
 //
-//dtbvet:hotpath the per-runner batch apply loop of every replay
-func (r *Runner) apply(batch []resolved) {
-	for k := range batch {
-		ev := &batch[k]
-		r.nEvents++
-		r.lastInstr = ev.instr
-		switch ev.kind {
-		case trace.KindAlloc:
-			r.clock = ev.clock
-			r.inUse += ev.size
-			if r.isPolicy {
-				r.objs = append(r.objs, ev.ord)
-			}
-			if r.pages != nil {
-				addr := r.nextAddr
-				r.nextAddr += ev.size
-				r.addrs = append(r.addrs, addr)
-				r.present = append(r.present, true)
-				r.pages.Touch(addr, ev.size) // the mutator initializes it
-			}
-			r.sinceTrigger += ev.size
-			r.sample(ev.instr)
-			if r.isPolicy && r.sinceTrigger >= r.cfg.TriggerBytes {
-				r.sinceTrigger = 0
-				r.scavenge(TriggerByteBudget)
-				r.sample(ev.instr)
-			}
-			if r.hasProbe {
-				r.sinceProgress += ev.size
-				if r.sinceProgress >= r.cfg.ProgressBytes {
-					r.sinceProgress = 0
-					r.cfg.Probe.Progress(Progress{
-						Label:       r.cfg.Label,
-						Events:      r.nEvents,
-						Instr:       ev.instr,
-						Clock:       r.clock,
-						InUse:       r.memInUse(),
-						Live:        r.tape.live,
-						Collections: r.res.Collections,
-					})
-				}
-			}
-		case trace.KindFree:
-			if r.pages != nil {
-				// The object is necessarily still present: only dead
-				// objects are reclaimed, and this one was live until
-				// this very event.
-				r.pages.Touch(r.addrs[ev.ord], ev.size) // last mutator access
-			}
-			r.sample(ev.instr)
-		case trace.KindMark:
-			if r.opportunistic && r.sinceTrigger >= r.cfg.TriggerBytes/2 {
-				r.sinceTrigger = 0
-				r.scavenge(TriggerMark)
-				r.sample(ev.instr)
-			}
-		case trace.KindPtrWrite:
-			// Pointer stores do not affect the oracle liveness, but they
-			// do touch memory for the virtual-memory model.
-			if r.pages != nil && ev.ord >= 0 && r.present[ev.ord] {
-				r.pages.Touch(r.addrs[ev.ord], 8)
-			}
-		default:
-			// Unreachable: resolve rejects unknown kinds.
+//dtbvet:hotpath the per-runner apply of every replay event
+func (r *Runner) apply(ev *resolved) {
+	switch ev.kind {
+	case trace.KindAlloc:
+		r.inUse += ev.size
+		if r.isPolicy {
+			r.objs = append(r.objs, ev.ord)
 		}
+		if r.pages != nil {
+			addr := r.nextAddr
+			r.nextAddr += ev.size
+			r.addrs = append(r.addrs, addr)
+			r.present = append(r.present, true)
+			r.pages.Touch(addr, ev.size) // the mutator initializes it
+		}
+		r.sinceTrigger += ev.size
+		r.sample()
+		if r.isPolicy && r.sinceTrigger >= r.cfg.TriggerBytes {
+			r.sinceTrigger = 0
+			r.scavenge(TriggerByteBudget)
+			r.sample()
+		}
+		if r.hasProbe {
+			r.sinceProgress += ev.size
+			if r.sinceProgress >= r.cfg.ProgressBytes {
+				r.sinceProgress = 0
+				r.cfg.Probe.Progress(Progress{
+					Label:       r.cfg.Label,
+					Events:      r.tape.events,
+					Instr:       r.tape.lastInstr,
+					Clock:       r.tape.clock,
+					InUse:       r.memInUse(),
+					Live:        r.tape.live,
+					Collections: r.res.Collections,
+				})
+			}
+		}
+	case trace.KindFree:
+		if r.pages != nil {
+			// The object is necessarily still present: only dead
+			// objects are reclaimed, and this one was live until
+			// this very event.
+			r.pages.Touch(r.addrs[ev.ord], ev.size) // last mutator access
+		}
+		r.sample()
+	case trace.KindMark:
+		if r.opportunistic && r.sinceTrigger >= r.cfg.TriggerBytes/2 {
+			r.sinceTrigger = 0
+			r.scavenge(TriggerMark)
+			r.sample()
+		}
+	case trace.KindPtrWrite:
+		// Pointer stores do not affect the oracle liveness, but they
+		// do touch memory for the virtual-memory model.
+		if r.pages != nil && ev.ord >= 0 && r.present[ev.ord] {
+			r.pages.Touch(r.addrs[ev.ord], 8)
+		}
+	default:
+		// Unreachable: resolve rejects unknown kinds.
 	}
 }
 
 //dtbvet:hotpath one call per simulated collection
 func (r *Runner) scavenge(reason TriggerReason) {
 	tp, cfg, res := r.tape, r.cfg, r.res
+	now := tp.clock
 	memBefore := r.inUse
 	var tb core.Time
 	if r.instance != nil {
-		tb = core.ClampBoundary(r.instance.Boundary(r.clock, &res.History, r.view), r.clock)
+		tb = core.ClampBoundary(r.instance.Boundary(now, &res.History, r.view), now)
 	} else {
-		tb = core.ClampBoundary(cfg.Policy.Boundary(r.clock, &res.History, r.view), r.clock)
+		tb = core.ClampBoundary(cfg.Policy.Boundary(now, &res.History, r.view), now)
 	}
 	if p := cfg.Probe; p != nil {
 		d := Decision{
 			Label:      cfg.Label,
 			N:          res.Collections + 1,
 			Trigger:    reason,
-			Now:        r.clock,
+			Now:        now,
 			TB:         tb,
 			Candidates: boundaryCandidates(&res.History),
 			MemBefore:  memBefore,
@@ -821,7 +823,7 @@ func (r *Runner) scavenge(reason TriggerReason) {
 		}
 	}
 	res.History.Record(core.Scavenge{
-		T:         r.clock,
+		T:         now,
 		TB:        tb,
 		MemBefore: memBefore,
 		Traced:    traced,
@@ -837,7 +839,7 @@ func (r *Runner) scavenge(reason TriggerReason) {
 			Label:          cfg.Label,
 			N:              res.Collections,
 			Trigger:        reason,
-			T:              r.clock,
+			T:              now,
 			TB:             tb,
 			MemBefore:      memBefore,
 			Traced:         traced,
@@ -857,21 +859,19 @@ func (r *Runner) scavenge(reason TriggerReason) {
 	}
 }
 
-// Finish closes the run and returns the Result. It is idempotent.
-func (r *Runner) Finish() *Result {
-	if r.finished {
-		return r.res
-	}
-	r.finished = true
-	r.memStat.Finish(float64(r.lastInstr))
-	r.liveStat.Finish(float64(r.lastInstr))
+// finish closes the run and returns the Result. Fleet.Finish calls it
+// once per runner.
+func (r *Runner) finish() *Result {
+	tp := r.tape
+	r.memStat.Finish(float64(tp.lastInstr))
+	r.liveStat.Finish(float64(tp.lastInstr))
 	res := r.res
 	res.MemMeanBytes = r.memStat.Mean()
 	res.MemMaxBytes = r.memStat.Max()
 	res.LiveMeanBytes = r.liveStat.Mean()
 	res.LiveMaxBytes = r.liveStat.Max()
-	res.TotalAlloc = r.clock.Bytes()
-	res.ExecSeconds = r.cfg.Machine.Seconds(r.lastInstr)
+	res.TotalAlloc = tp.clock.Bytes()
+	res.ExecSeconds = r.cfg.Machine.Seconds(tp.lastInstr)
 	if res.ExecSeconds > 0 {
 		res.OverheadPct = 100 * r.cfg.Machine.PauseSeconds(res.TracedTotalBytes) / res.ExecSeconds
 	}
@@ -902,9 +902,9 @@ func (r *Runner) Finish() *Result {
 // once per collector. Every runner's Result, History and telemetry
 // sequence is bit-identical to a solo run over the same events.
 type Fleet struct {
-	tape     *tape
-	runners  []*Runner
-	finished bool
+	tape    *tape
+	runners []*Runner
+	results []*Result // set by Finish
 }
 
 // NewFleet validates every config before constructing any runner (a
@@ -1001,20 +1001,20 @@ func (f *Fleet) Events() int { return f.tape.events }
 //
 //dtbvet:hotpath one call per replay batch: resolve once, apply N times
 func (f *Fleet) FeedBatch(events []trace.Event) error {
-	if f.finished {
+	if f.results != nil {
 		return errFeedAfterFinish
 	}
 	if len(f.runners) == 0 {
 		return nil
 	}
-	var one [1]resolved
+	var ev resolved
 	tp := f.tape
 	for i := range events {
-		if err := tp.resolve(events[i], &one[0]); err != nil {
+		if err := tp.resolve(events[i], &ev); err != nil {
 			return err
 		}
 		for _, r := range f.runners {
-			r.apply(one[:])
+			r.apply(&ev)
 		}
 		// Event-count cadence, checked only after every runner applied
 		// the event: compaction never moves ordinals between a resolve
@@ -1028,14 +1028,15 @@ func (f *Fleet) FeedBatch(events []trace.Event) error {
 }
 
 // Finish closes every runner and returns their Results in config
-// order. It is idempotent.
+// order. It is idempotent: later calls return the same slice.
 func (f *Fleet) Finish() []*Result {
-	f.finished = true
-	results := make([]*Result, len(f.runners))
-	for i, r := range f.runners {
-		results[i] = r.Finish()
+	if f.results == nil {
+		f.results = make([]*Result, len(f.runners))
+		for i, r := range f.runners {
+			f.results[i] = r.finish()
+		}
 	}
-	return results
+	return f.results
 }
 
 // Run simulates one collector over a complete in-memory trace on a

@@ -1,7 +1,5 @@
 package trace
 
-import "fmt"
-
 // Forward-pointer analysis for §4.2 of the paper: the dynamic
 // threatening boundary collector must remember ALL forward-in-time
 // pointers (stores where the source object is older than the new
@@ -29,56 +27,33 @@ func (f ForwardStats) ForwardFraction() float64 {
 }
 
 // MeasureForward computes forward-pointer statistics for a well-formed
-// trace. Object age is position in allocation order (the allocation
-// clock), matching the collector's notion of birth time.
+// trace, rejecting a malformed one with Validate's error. Object age
+// is position in allocation order (the allocation clock), matching
+// the collector's notion of birth time.
 func MeasureForward(events []Event) (ForwardStats, error) {
 	var fs ForwardStats
-	birth := make(map[ObjectID]int)
-	seq := 0
+	var s Stats
 	for i, e := range events {
-		switch e.Kind {
-		case KindAlloc:
-			seq++
-			birth[e.ID] = seq
-		case KindFree:
-			delete(birth, e.ID)
-		case KindPtrWrite:
-			fs.Stores++
-			if e.Target == NilObject {
-				fs.NilStore++
-				continue
-			}
-			bs, ok1 := birth[e.ID]
-			bt, ok2 := birth[e.Target]
-			if !ok1 || !ok2 {
-				return fs, fmtErr(i, e)
-			}
-			switch {
-			case bs < bt:
-				fs.Forward++
-			case bs > bt:
-				fs.Backward++
-			default:
-				fs.SelfSame++
-			}
-		case KindMark:
-			// Annotations carry no pointers.
+		src, err := s.stepAt(i, e)
+		if err != nil {
+			return fs, err
+		}
+		if e.Kind != KindPtrWrite {
+			continue
+		}
+		fs.Stores++
+		if e.Target == NilObject {
+			fs.NilStore++
+			continue
+		}
+		switch dst := s.objs[e.Target]; {
+		case src.order < dst.order:
+			fs.Forward++
+		case src.order > dst.order:
+			fs.Backward++
 		default:
-			return fs, fmt.Errorf("trace: event %d: unknown kind %d", i, e.Kind)
+			fs.SelfSame++
 		}
 	}
 	return fs, nil
-}
-
-func fmtErr(i int, e Event) error {
-	return &forwardError{index: i, event: e}
-}
-
-type forwardError struct {
-	index int
-	event Event
-}
-
-func (e *forwardError) Error() string {
-	return "trace: pointer store " + e.event.String() + " references a dead object (event index unknown to oracle)"
 }

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // LifetimeStats characterizes a trace's object demographics on the
 // allocation clock — the quantities the paper's lifetime arguments
@@ -108,44 +105,26 @@ func (ls *LifetimeStats) FreedFraction() float64 {
 }
 
 // MeasureLifetimes computes lifetime statistics for a well-formed
-// trace. Ages are measured on the allocation clock: an object's
-// lifetime is the number of bytes allocated between its birth and its
-// free event, the paper's notion of object age.
+// trace, rejecting a malformed one with Validate's error. Ages are
+// measured on the allocation clock: an object's lifetime is the number
+// of bytes allocated between its birth and its free event, the paper's
+// notion of object age.
 func MeasureLifetimes(events []Event) (*LifetimeStats, error) {
 	ls := &LifetimeStats{}
-	type birthRec struct {
-		clock uint64
-		size  uint64
-	}
-	births := make(map[ObjectID]birthRec)
-	var clock uint64
+	var s Stats
 	for i, e := range events {
-		switch e.Kind {
-		case KindAlloc:
-			if _, dup := births[e.ID]; dup {
-				return nil, fmt.Errorf("trace: event %d: duplicate allocation of %d", i, e.ID)
-			}
-			clock += e.Size
-			births[e.ID] = birthRec{clock: clock, size: e.Size}
-			ls.TotalObjects++
-			ls.TotalBytes += e.Size
-		case KindFree:
-			b, ok := births[e.ID]
-			if !ok {
-				return nil, fmt.Errorf("trace: event %d: free of unknown object %d", i, e.ID)
-			}
-			delete(births, e.ID)
-			ls.FreedBytes += b.size
-			ls.lifetimes = append(ls.lifetimes, lifeSample{life: clock - b.clock, bytes: b.size})
-		case KindPtrWrite, KindMark:
-			// Pointer stores and annotations do not affect lifetimes.
-		default:
-			return nil, fmt.Errorf("trace: event %d: unknown kind %d", i, e.Kind)
+		o, err := s.stepAt(i, e)
+		if err != nil {
+			return nil, err
+		}
+		if e.Kind == KindFree {
+			ls.FreedBytes += o.size
+			ls.lifetimes = append(ls.lifetimes, lifeSample{life: s.TotalBytes - o.birth, bytes: o.size})
 		}
 	}
-	for _, b := range births { //dtbvet:ignore determinism -- order-insensitive sum of surviving bytes
-		ls.PermanentBytes += b.size
-	}
+	ls.TotalObjects = s.Allocs
+	ls.TotalBytes = s.TotalBytes
+	ls.PermanentBytes = s.LiveBytes
 	if ls.TotalObjects > 0 {
 		ls.MeanObjectBytes = float64(ls.TotalBytes) / float64(ls.TotalObjects)
 	}

@@ -110,7 +110,11 @@ func (e Event) String() string {
 
 // Stats summarizes a trace: volumes, live-byte extrema and event
 // counts. It can be accumulated incrementally with Update or computed
-// at once with Measure.
+// at once with Measure. Its walk is the package's one well-formedness
+// check and its one record of which objects are live: the lifetime,
+// forward-pointer and window analyses fold over the same walk, so
+// every analysis rejects exactly what Validate rejects, with the same
+// error.
 type Stats struct {
 	Allocs      int
 	Frees       int
@@ -122,31 +126,48 @@ type Stats struct {
 	LiveObjects int    // objects live right now
 	MaxObjects  int    // maximum simultaneously live objects
 	LastInstr   uint64 // timestamp of the final event
-	sizes       map[ObjectID]uint64
+	objs        map[ObjectID]object
+}
+
+// object is the walk's record of one live object.
+type object struct {
+	size  uint64
+	birth uint64 // allocation clock (TotalBytes) just after its alloc
+	order int    // allocation order: 1 for the trace's first object
 }
 
 // Update folds one event into the statistics. It returns an error on a
 // malformed stream (duplicate allocation, free of an unknown object,
 // or a time regression).
 func (s *Stats) Update(e Event) error {
-	if s.sizes == nil {
-		s.sizes = make(map[ObjectID]uint64)
+	_, err := s.step(e)
+	return err
+}
+
+// step is Update returning the record of the object the event names:
+// the new object for an alloc, the freed one for a free, the source
+// for a pointer store, and the zero record for a mark.
+func (s *Stats) step(e Event) (object, error) {
+	if s.objs == nil {
+		s.objs = make(map[ObjectID]object)
 	}
+	var o object
 	if e.Instr < s.LastInstr {
-		return fmt.Errorf("trace: instruction clock regressed %d -> %d", s.LastInstr, e.Instr)
+		return o, fmt.Errorf("trace: instruction clock regressed %d -> %d", s.LastInstr, e.Instr)
 	}
 	s.LastInstr = e.Instr
 	switch e.Kind {
 	case KindAlloc:
 		if e.ID == NilObject {
-			return fmt.Errorf("trace: allocation of nil object id")
+			return o, fmt.Errorf("trace: allocation of nil object id")
 		}
-		if _, dup := s.sizes[e.ID]; dup {
-			return fmt.Errorf("trace: duplicate allocation of object %d", e.ID)
+		if _, dup := s.objs[e.ID]; dup {
+			return o, fmt.Errorf("trace: duplicate allocation of object %d", e.ID)
 		}
-		s.sizes[e.ID] = e.Size
 		s.Allocs++
 		s.TotalBytes += e.Size
+		o = object{size: e.Size, birth: s.TotalBytes, order: s.Allocs}
+		s.objs[e.ID] = o
 		s.LiveBytes += e.Size
 		s.LiveObjects++
 		if s.LiveBytes > s.MaxLive {
@@ -156,38 +177,49 @@ func (s *Stats) Update(e Event) error {
 			s.MaxObjects = s.LiveObjects
 		}
 	case KindFree:
-		size, ok := s.sizes[e.ID]
-		if !ok {
-			return fmt.Errorf("trace: free of unknown or already-freed object %d", e.ID)
+		var ok bool
+		if o, ok = s.objs[e.ID]; !ok {
+			return o, fmt.Errorf("trace: free of unknown or already-freed object %d", e.ID)
 		}
-		delete(s.sizes, e.ID)
+		delete(s.objs, e.ID)
 		s.Frees++
-		s.LiveBytes -= size
+		s.LiveBytes -= o.size
 		s.LiveObjects--
 	case KindPtrWrite:
-		if _, ok := s.sizes[e.ID]; !ok {
-			return fmt.Errorf("trace: pointer store into dead or unknown object %d", e.ID)
+		var ok bool
+		if o, ok = s.objs[e.ID]; !ok {
+			return o, fmt.Errorf("trace: pointer store into dead or unknown object %d", e.ID)
 		}
 		if e.Target != NilObject {
-			if _, ok := s.sizes[e.Target]; !ok {
-				return fmt.Errorf("trace: pointer store to dead or unknown target %d", e.Target)
+			if _, ok := s.objs[e.Target]; !ok {
+				return o, fmt.Errorf("trace: pointer store to dead or unknown target %d", e.Target)
 			}
 		}
 		s.PtrWrites++
 	case KindMark:
 		s.Marks++
 	default:
-		return fmt.Errorf("trace: unknown event kind %d", e.Kind)
+		return o, fmt.Errorf("trace: unknown event kind %d", e.Kind)
 	}
-	return nil
+	return o, nil
+}
+
+// stepAt is step for the event at index i of a complete trace, with
+// the index in the error.
+func (s *Stats) stepAt(i int, e Event) (object, error) {
+	o, err := s.step(e)
+	if err != nil {
+		return o, fmt.Errorf("event %d: %w", i, err)
+	}
+	return o, nil
 }
 
 // Measure computes statistics for a complete trace.
 func Measure(events []Event) (Stats, error) {
 	var s Stats
 	for i, e := range events {
-		if err := s.Update(e); err != nil {
-			return s, fmt.Errorf("event %d: %w", i, err)
+		if _, err := s.stepAt(i, e); err != nil {
+			return s, err
 		}
 	}
 	return s, nil

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -198,5 +199,40 @@ func TestBuilderNow(t *testing.T) {
 	b.Advance(3)
 	if b.Now() != 10 {
 		t.Fatalf("Now = %d, want 10", b.Now())
+	}
+}
+
+// TestAnalysesRejectWhatValidateRejects: the lifetime, forward-pointer
+// and window analyses fold over Validate's walk, so each malformed
+// trace must fail all four with the one identical error.
+func TestAnalysesRejectWhatValidateRejects(t *testing.T) {
+	cases := []struct {
+		name   string
+		events []Event
+	}{
+		{"duplicate alloc", []Event{Alloc(1, 8, 0), Alloc(1, 8, 1)}},
+		{"nil id", []Event{Alloc(NilObject, 8, 0)}},
+		{"unknown free", []Event{Alloc(1, 8, 0), Free(2, 1)}},
+		{"double free", []Event{Alloc(1, 8, 0), Free(1, 1), Free(1, 2)}},
+		{"clock regression", []Event{Alloc(1, 8, 5), Alloc(2, 8, 4)}},
+		{"store from dead source", []Event{Alloc(1, 8, 0), Alloc(2, 8, 1), Free(1, 2), PtrWrite(1, 0, 2, 3)}},
+		{"store to dead target", []Event{Alloc(1, 8, 0), Alloc(2, 8, 1), Free(2, 2), PtrWrite(1, 0, 2, 3)}},
+		{"unknown kind", []Event{Alloc(1, 8, 0), {Kind: Kind(99), Instr: 1}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want := Validate(c.events)
+			if want == nil {
+				t.Fatal("Validate accepted the trace")
+			}
+			_, lerr := MeasureLifetimes(c.events)
+			_, ferr := MeasureForward(c.events)
+			_, werr := Window(c.events, 0, math.MaxUint64)
+			for k, err := range []error{lerr, ferr, werr} {
+				if err == nil || err.Error() != want.Error() {
+					t.Errorf("%s: error %v, want %q", []string{"MeasureLifetimes", "MeasureForward", "Window"}[k], err, want)
+				}
+			}
+		})
 	}
 }

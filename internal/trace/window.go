@@ -12,9 +12,15 @@ import (
 //     are re-introduced with synthetic allocations at instant `from`,
 //     in their original allocation order (so relative ages — the only
 //     thing boundary policies consume — are preserved);
-//   - events inside the window are kept, except pointer stores that
-//     reference objects absent from the window;
-//   - frees of objects that died before the window are dropped.
+//   - events inside the window are copied unchanged;
+//   - everything before the window, and everything after it, is
+//     dropped.
+//
+// The input must validate: Window walks it with Validate's checks up
+// to the window's end and returns Validate's error for the first
+// malformed event it reads. On a valid trace, every free and pointer
+// store inside the window names an object that is live there, so the
+// copy is itself valid.
 //
 // Windowing lets long captures be studied piecewise: the warm-up of a
 // trace can be skipped, or one program phase isolated, while the
@@ -23,66 +29,31 @@ func Window(events []Event, from, to uint64) ([]Event, error) {
 	if to < from {
 		return nil, fmt.Errorf("trace: Window with to < from")
 	}
-
-	// Pass 1: liveness at the window start.
-	type preObj struct {
-		id    ObjectID
-		size  uint64
-		order int
-	}
-	pre := make(map[ObjectID]preObj)
-	order := 0
+	var s Stats
 	i := 0
 	for ; i < len(events) && events[i].Instr < from; i++ {
-		e := events[i]
-		switch e.Kind {
-		case KindAlloc:
-			pre[e.ID] = preObj{id: e.ID, size: e.Size, order: order}
-			order++
-		case KindFree:
-			if _, ok := pre[e.ID]; !ok {
-				return nil, fmt.Errorf("trace: event %d frees unknown object %d", i, e.ID)
-			}
-			delete(pre, e.ID)
-		case KindPtrWrite, KindMark:
-			// Neither affects pre-window liveness.
-		default:
-			return nil, fmt.Errorf("trace: event %d: unknown kind %d", i, e.Kind)
+		if _, err := s.stepAt(i, events[i]); err != nil {
+			return nil, err
 		}
 	}
 
 	// Synthetic allocations for the survivors, oldest first.
-	survivors := make([]preObj, 0, len(pre))
-	for _, o := range pre { //dtbvet:ignore determinism -- survivors are sorted by allocation order below
-		survivors = append(survivors, o)
+	survivors := make([]ObjectID, 0, len(s.objs))
+	for id := range s.objs { //dtbvet:ignore determinism -- survivors are sorted by allocation order below
+		survivors = append(survivors, id)
 	}
-	sort.Slice(survivors, func(a, b int) bool { return survivors[a].order < survivors[b].order })
-
+	sort.Slice(survivors, func(a, b int) bool { return s.objs[survivors[a]].order < s.objs[survivors[b]].order })
 	out := make([]Event, 0, len(survivors)+len(events)-i)
-	inWindow := make(map[ObjectID]bool, len(survivors))
-	for _, o := range survivors {
-		out = append(out, Alloc(o.id, o.size, from))
-		inWindow[o.id] = true
+	for _, id := range survivors {
+		out = append(out, Alloc(id, s.objs[id].size, from))
 	}
 
-	// Pass 2: the window body.
+	// The window body, walked for validity and copied whole.
+	body := i
 	for ; i < len(events) && events[i].Instr <= to; i++ {
-		e := events[i]
-		switch e.Kind {
-		case KindAlloc:
-			inWindow[e.ID] = true
-			out = append(out, e)
-		case KindFree:
-			if inWindow[e.ID] {
-				out = append(out, e)
-			}
-		case KindPtrWrite:
-			if inWindow[e.ID] && (e.Target == NilObject || inWindow[e.Target]) {
-				out = append(out, e)
-			}
-		case KindMark:
-			out = append(out, e)
+		if _, err := s.stepAt(i, events[i]); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return append(out, events[body:i]...), nil
 }
