@@ -170,26 +170,19 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *auditRun {
 		auditor = dtbgc.NewAuditor()
 	}
-	label := ""
-	if tw != nil || auditor != nil {
-		// Append only the live probes: a typed-nil *TelemetryWriter
-		// boxed into the Probe interface would not read as nil.
-		var probes []dtbgc.Probe
-		if tw != nil {
-			probes = append(probes, tw)
-		}
-		if auditor != nil {
-			probes = append(probes, auditor)
-		}
-		opts.Probe = dtbgc.CombineProbes(probes...)
-		switch {
-		case *workloadName != "":
-			label = *workloadName
-		default:
-			label = *traceFile
-		}
-		opts.Label = label
+	// The run keeps the empty label whatever is attached: the label
+	// feeds adaptive policies' seed derivation, so telemetry and audit
+	// must not change what they observe. Append only the live probes:
+	// a typed-nil *TelemetryWriter boxed into the Probe interface would
+	// not read as nil.
+	var probes []dtbgc.Probe
+	if tw != nil {
+		probes = append(probes, tw)
 	}
+	if auditor != nil {
+		probes = append(probes, auditor)
+	}
+	opts.Probe = dtbgc.CombineProbes(probes...)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -285,10 +278,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		fmt.Fprintf(stderr, "dtbsim: recovered %s: %s\n", *traceFile, drops)
 	}
 	if tw != nil {
-		tw.Drops(label, drops)
+		tw.Drops(opts.Label, drops)
 	}
 	if auditor != nil {
-		auditor.NoteDrops(label, drops)
+		auditor.NoteDrops(opts.Label, drops)
 	}
 
 	if *memprofile != "" {

@@ -252,3 +252,32 @@ func TestAuditedRunStaysClean(t *testing.T) {
 		t.Fatalf("audited run exit %d:\n%s", code, stderr)
 	}
 }
+
+// TestProbesDoNotChangeAdaptiveResults: attaching telemetry or the
+// auditor must not change the run. The run label feeds an adaptive
+// policy's seed derivation, so a label set only when a probe is
+// attached made -telemetry and -audit change a bandit's history.
+func TestProbesDoNotChangeAdaptiveResults(t *testing.T) {
+	args := []string{"-policy", "bandit:eps=0.3", "-workload", "GHOST(1)", "-scale", "0.2", "-trigger", "65536", "-history"}
+	want, _, code := sim(t, args...)
+	if code != 0 {
+		t.Fatalf("plain run exit %d", code)
+	}
+	if strings.Count(want, "\n") < 5 {
+		t.Fatalf("history too short to tell runs apart:\n%s", want)
+	}
+	tel := filepath.Join(t.TempDir(), "run.jsonl")
+	for _, extra := range [][]string{
+		{"-telemetry", tel},
+		{"-audit"},
+		{"-telemetry", tel, "-audit"},
+	} {
+		got, stderr, code := sim(t, append(append([]string(nil), args...), extra...)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d:\n%s", extra, code, stderr)
+		}
+		if got != want {
+			t.Errorf("%v changed the history:\n%s\nvs\n%s", extra, got, want)
+		}
+	}
+}

@@ -1,337 +1,38 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
-	"math"
+
+	"github.com/dtbgc/dtbgc/internal/audit"
+	"github.com/dtbgc/dtbgc/internal/sim"
 )
 
-// fieldKind is the expected JSON type of a schema field.
-type fieldKind byte
-
-const (
-	kindString fieldKind = 's'
-	kindNumber fieldKind = 'n'
-	kindBool   fieldKind = 'b'
-	kindArray  fieldKind = 'a' // array of numbers
-)
-
-func (k fieldKind) String() string {
-	switch k {
-	case kindString:
-		return "string"
-	case kindNumber:
-		return "number"
-	case kindBool:
-		return "bool"
-	case kindArray:
-		return "number array"
-	}
-	return "unknown"
-}
-
-// field is one required schema field.
-type field struct {
-	name string
-	kind fieldKind
-}
-
-// schema lists the required fields per event type, mirroring the
-// envelopes in internal/sim's TelemetryWriter and the README's
-// Observability section. Extra fields are allowed (forward
-// compatibility); missing or mistyped ones are violations.
-var schema = map[string][]field{
-	"run_start": {
-		{"label", kindString}, {"collector", kindString},
-		{"mips", kindNumber}, {"trace_bytes_per_sec", kindNumber},
-		{"trigger_bytes", kindNumber}, {"progress_bytes", kindNumber},
-		{"opportunistic", kindBool},
-	},
-	"decision": {
-		{"label", kindString}, {"n", kindNumber}, {"trigger", kindString},
-		{"now", kindNumber}, {"tb", kindNumber}, {"candidates", kindArray},
-		{"mem_before", kindNumber}, {"live_before", kindNumber},
-	},
-	"scavenge": {
-		{"label", kindString}, {"n", kindNumber}, {"trigger", kindString},
-		{"t", kindNumber}, {"tb", kindNumber}, {"mem_before", kindNumber},
-		{"traced", kindNumber}, {"reclaimed", kindNumber},
-		{"surviving", kindNumber}, {"live", kindNumber},
-		{"tenured_garbage", kindNumber}, {"pause_seconds", kindNumber},
-	},
-	"progress": {
-		{"label", kindString}, {"events", kindNumber}, {"instr", kindNumber},
-		{"allocated", kindNumber}, {"in_use", kindNumber},
-		{"live", kindNumber}, {"collections", kindNumber},
-	},
-	"drops": {
-		{"label", kindString}, {"corrupt_records", kindNumber},
-		{"torn_tail_records", kindNumber}, {"bytes_dropped", kindNumber},
-	},
-	"run_finish": {
-		{"label", kindString}, {"collector", kindString},
-		{"collections", kindNumber}, {"total_alloc", kindNumber},
-		{"exec_seconds", kindNumber}, {"mem_mean_bytes", kindNumber},
-		{"mem_max_bytes", kindNumber}, {"live_mean_bytes", kindNumber},
-		{"live_max_bytes", kindNumber}, {"traced_total_bytes", kindNumber},
-		{"overhead_pct", kindNumber},
-		{"pause_p50_seconds", kindNumber}, {"pause_p90_seconds", kindNumber},
-	},
-}
-
-// optionalSchema lists fields that may appear on an event but must be
-// well-typed when they do. Adaptive policies annotate their decisions
-// with the chosen bandit arm and a digest of the decision inputs;
-// pure-policy streams omit both, and old streams stay valid unchanged.
-var optionalSchema = map[string][]field{
-	"decision": {
-		{"arm", kindNumber},
-		{"features_digest", kindString},
-	},
-}
-
-// runState tracks per-run sequence invariants. Runs are keyed by
-// label; a well-formed stream may interleave several (the evaluation
-// harness runs workloads concurrently) but each run's own events stay
-// ordered.
-type runState struct {
-	started         bool
-	finished        bool
-	scavenges       int
-	pendingDecision int // index of an emitted decision awaiting its scavenge (0 = none)
-}
-
-// checkStream validates one telemetry stream and returns the schema
-// violations it found, in line order. The error return is for I/O
-// problems only.
+// checkStream validates one telemetry stream and returns what it
+// found: first every line that is not exactly what sim.TelemetryWriter
+// writes, in line order, then every audit.Auditor violation of the
+// decoded events. The error return is for I/O problems only.
 func checkStream(r io.Reader) ([]string, error) {
 	var problems []string
-	runs := make(map[string]*runState)
-	var runOrder []string // first-seen order, so reporting is deterministic
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			problems = append(problems, fmt.Sprintf("line %d: empty line", lineNo))
-			continue
-		}
-		var obj map[string]any
-		if err := json.Unmarshal(line, &obj); err != nil {
-			problems = append(problems, fmt.Sprintf("line %d: not a JSON object: %v", lineNo, err))
-			continue
-		}
-		event, ok := obj["event"].(string)
-		if !ok {
-			problems = append(problems, fmt.Sprintf("line %d: missing string field %q", lineNo, "event"))
-			continue
-		}
-		fields, known := schema[event]
-		if !known {
-			problems = append(problems, fmt.Sprintf("line %d: unknown event type %q", lineNo, event))
-			continue
-		}
-		bad := false
-		for _, f := range fields {
-			if msg := checkField(obj, f); msg != "" {
-				problems = append(problems, fmt.Sprintf("line %d: %s: %s", lineNo, event, msg))
-				bad = true
+	aud := audit.NewAuditor()
+	tr := sim.NewTelemetryReader(r)
+	for {
+		err := tr.Next(aud, aud.NoteDrops)
+		var bad *sim.TelemetryLineError
+		switch {
+		case err == io.EOF:
+			if tr.Lines() == 0 {
+				problems = append(problems, "stream is empty: expected at least run_start and run_finish")
 			}
-		}
-		for _, f := range optionalSchema[event] {
-			if _, present := obj[f.name]; !present {
-				continue
+			aud.EndOfStream()
+			for _, v := range aud.Violations() {
+				problems = append(problems, v.String())
 			}
-			if msg := checkField(obj, f); msg != "" {
-				problems = append(problems, fmt.Sprintf("line %d: %s: optional %s", lineNo, event, msg))
-				bad = true
-			}
-		}
-		if bad {
-			continue
-		}
-		label, _ := obj["label"].(string)
-		st := runs[label]
-		if st == nil {
-			st = &runState{}
-			runs[label] = st
-			runOrder = append(runOrder, label)
-		}
-		problems = append(problems, checkSequence(st, event, obj, lineNo, label)...)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if lineNo == 0 {
-		problems = append(problems, "stream is empty: expected at least run_start and run_finish")
-	}
-	for _, label := range runOrder {
-		st := runs[label]
-		if st.started && !st.finished {
-			problems = append(problems, fmt.Sprintf("run %q: no run_finish event", label))
-		}
-		if st.pendingDecision != 0 {
-			problems = append(problems, fmt.Sprintf("run %q: decision %d has no matching scavenge", label, st.pendingDecision))
+			return problems, nil
+		case errors.As(err, &bad):
+			problems = append(problems, bad.Error())
+		case err != nil:
+			return nil, err
 		}
 	}
-	return problems, nil
-}
-
-// checkField verifies one required field's presence and JSON type,
-// returning a problem description or "".
-func checkField(obj map[string]any, f field) string {
-	v, ok := obj[f.name]
-	if !ok {
-		return fmt.Sprintf("missing field %q", f.name)
-	}
-	switch f.kind {
-	case kindString:
-		if _, ok := v.(string); !ok {
-			return fmt.Sprintf("field %q is not a %s", f.name, f.kind)
-		}
-	case kindNumber:
-		n, ok := v.(float64)
-		if !ok {
-			return fmt.Sprintf("field %q is not a %s", f.name, f.kind)
-		}
-		if math.IsNaN(n) || math.IsInf(n, 0) {
-			return fmt.Sprintf("field %q is not finite", f.name)
-		}
-	case kindBool:
-		if _, ok := v.(bool); !ok {
-			return fmt.Sprintf("field %q is not a %s", f.name, f.kind)
-		}
-	case kindArray:
-		arr, ok := v.([]any)
-		if !ok {
-			return fmt.Sprintf("field %q is not a %s", f.name, f.kind)
-		}
-		for i, el := range arr {
-			if _, ok := el.(float64); !ok {
-				return fmt.Sprintf("field %q element %d is not a number", f.name, i)
-			}
-		}
-	}
-	return ""
-}
-
-// isHex16 reports whether s is exactly 16 lowercase hex digits — the
-// fixed-width encoding TelemetryWriter uses for the feature digest.
-func isHex16(s string) bool {
-	if len(s) != 16 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// checkSequence enforces the per-run event ordering: run_start first,
-// each scavenge preceded by its decision with the same 1-based index,
-// indices increasing without gaps, run_finish last with a collection
-// count matching the scavenges seen.
-func checkSequence(st *runState, event string, obj map[string]any, lineNo int, label string) []string {
-	var problems []string
-	report := func(format string, args ...any) {
-		problems = append(problems, fmt.Sprintf("line %d: run %q: %s", lineNo, label, fmt.Sprintf(format, args...)))
-	}
-	if event == "drops" {
-		// Drops describe the input stream, not a run: they may appear
-		// before run_start, after run_finish, or under a label with no
-		// run at all. Their invariant is internal consistency: typed
-		// counts and the byte total must agree, and a stream has at
-		// most one torn tail.
-		cr := obj["corrupt_records"].(float64)
-		tt := obj["torn_tail_records"].(float64)
-		bd := obj["bytes_dropped"].(float64)
-		if cr < 0 || tt < 0 || bd < 0 {
-			report("negative drop count (corrupt=%v torn=%v bytes=%v)", cr, tt, bd)
-		}
-		if tt > 1 {
-			report("torn_tail_records=%v, a stream has at most one torn tail", tt)
-		}
-		if (bd > 0) != (cr+tt > 0) {
-			report("bytes_dropped=%v inconsistent with corrupt_records=%v + torn_tail_records=%v", bd, cr, tt)
-		}
-		return problems
-	}
-	if event != "run_start" && !st.started {
-		report("%s before run_start", event)
-		st.started = true // report once, then resynchronize
-	}
-	if st.finished {
-		report("%s after run_finish", event)
-	}
-	switch event {
-	case "run_start":
-		if st.started {
-			report("duplicate run_start")
-		}
-		st.started = true
-	case "decision":
-		n := int(obj["n"].(float64))
-		if st.pendingDecision != 0 {
-			report("decision %d while decision %d awaits its scavenge", n, st.pendingDecision)
-		}
-		if want := st.scavenges + 1; n != want {
-			report("decision n=%d, want %d", n, want)
-		}
-		st.pendingDecision = n
-		// Adaptive annotations: an arm index is only meaningful alongside
-		// the feature digest, must be a whole number, and must stay
-		// non-negative (the writer suppresses the field for policies with
-		// no arm concept rather than emitting a sentinel).
-		arm, hasArm := obj["arm"].(float64)
-		digest, hasDigest := obj["features_digest"].(string)
-		if hasArm {
-			if !hasDigest {
-				report("arm=%v without features_digest: adaptive decisions carry both", arm)
-			}
-			if arm < 0 || arm != float64(int64(arm)) { //dtbvet:ignore floatexact -- integrality check on a JSON number, the idiomatic spelling
-				report("arm=%v is not a non-negative integer", arm)
-			}
-		}
-		if hasDigest && !isHex16(digest) {
-			report("features_digest %q is not 16 lowercase hex digits", digest)
-		}
-	case "scavenge":
-		n := int(obj["n"].(float64))
-		if st.pendingDecision == 0 {
-			report("scavenge %d without a preceding decision", n)
-		} else if n != st.pendingDecision {
-			report("scavenge n=%d does not match decision n=%d", n, st.pendingDecision)
-		}
-		st.pendingDecision = 0
-		st.scavenges = n
-		if tb, t := obj["tb"].(float64), obj["t"].(float64); tb > t {
-			report("boundary tb=%v is in the future of t=%v", tb, t)
-		}
-		surviving := obj["surviving"].(float64)
-		live := obj["live"].(float64)
-		// The counts are integers riding in JSON float64s; compare them
-		// as integers rather than with float ==.
-		if tg := obj["tenured_garbage"].(float64); int64(tg) != int64(surviving)-int64(live) {
-			report("tenured_garbage=%v does not equal surviving-live=%v", tg, surviving-live)
-		}
-		if pause := obj["pause_seconds"].(float64); pause < 0 {
-			report("negative pause %v", pause)
-		}
-	case "progress":
-		// No ordering constraint beyond being inside the run.
-	case "run_finish":
-		st.finished = true
-		if n := int(obj["collections"].(float64)); n != st.scavenges {
-			report("run_finish collections=%d but %d scavenge events were emitted", n, st.scavenges)
-		}
-	}
-	return problems
 }

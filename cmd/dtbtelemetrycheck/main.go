@@ -1,12 +1,14 @@
 // Command dtbtelemetrycheck validates a JSON-lines telemetry stream
-// (as written by dtbsim -telemetry or dtbgc.NewTelemetryWriter)
-// against the documented schema: every line must be a JSON object
-// carrying a known "event" discriminator with that event's required
-// fields at the required JSON types, and each run's event sequence
-// must be coherent (run_start first, decision/scavenge pairs with
-// increasing indices, run_finish last with a matching collection
-// count). It is the CI gate that keeps the emitted telemetry and the
-// README's schema documentation from drifting apart.
+// (as written by dtbsim -telemetry or dtbgc.NewTelemetryWriter). A
+// stream passes when every line is exactly what sim.TelemetryWriter
+// writes for the event it decodes to (sim.TelemetryReader names the
+// missing, extra, mistyped or differing field otherwise) and every
+// decoded event holds to every audit.Auditor rule: run and decision
+// sequencing, the paper's per-scavenge identities, and a run_finish
+// whose Result, pause percentiles included, matches the run's
+// scavenge lines. A run that never finishes fails too. The writer and
+// the Auditor are the only definitions of the schema and the rules;
+// this command keeps no copy of either.
 //
 // Usage:
 //
@@ -14,14 +16,14 @@
 //	dtbsim -policy full -workload SIS -telemetry - | dtbtelemetrycheck -
 //	curl -s http://127.0.0.1:7341/v1/metrics | dtbtelemetrycheck -metrics -
 //
-// -metrics switches to the dtbd metrics-snapshot schema instead: one
-// JSON object per input with every documented field present at its
-// documented type, finite non-negative readings, and the serving
-// identities intact (memo_hits + cold_evals == evals_served,
-// tape_hits within cold_evals). It is the CI gate on the daemon's
-// /v1/metrics endpoint, as checkStream is on telemetry lines.
+// -metrics checks a dtbd metrics snapshot instead: the document must
+// be exactly the daemon's encoding of a daemon.MetricsSnapshot, with
+// finite non-negative readings and the serving identities intact
+// (memo_hits + cold_evals == evals_served, tape_hits within
+// cold_evals). It is the CI gate on the daemon's /v1/metrics endpoint.
 //
-// Exit status is 0 when every stream is schema-valid, 1 otherwise.
+// Exit status is 0 when every stream passes, 1 when one does not, and
+// 2 on usage or I/O errors.
 package main
 
 import (

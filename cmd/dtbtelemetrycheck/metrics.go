@@ -8,55 +8,37 @@ import (
 	"math"
 
 	"github.com/dtbgc/dtbgc/internal/daemon"
+	"github.com/dtbgc/dtbgc/internal/sim"
 )
 
-// metricsFields are the snapshot's required keys — the documented
-// schema of GET /v1/metrics. A daemon that stops emitting one of
-// these (or grows an undocumented one) fails CI here, the same
-// drift-guard contract checkStream enforces for telemetry lines.
-var metricsFields = []string{
-	"evals_served", "memo_hits", "cold_evals", "tape_hits",
-	"rejected", "failed", "trace_uploads",
-	"in_flight", "queued", "workers", "queue_depth",
-	"tape_cache_traces", "tape_cache_bytes", "memo_entries",
-	"service_p50_ms", "service_p99_ms", "uptime_seconds",
-}
-
 // checkMetrics validates one dtbd metrics snapshot document: exactly
-// one JSON object, every documented field present at its documented
-// type, no undocumented fields, finite and non-negative readings, and
-// the serving identities (memo_hits + cold_evals == evals_served,
-// tape_hits ⊆ cold_evals). The error return is for I/O problems only.
+// the encoding the daemon writes for a daemon.MetricsSnapshot (every
+// field present at its type, nothing else), finite and non-negative
+// readings, and the serving identities (memo_hits + cold_evals ==
+// evals_served, tape_hits ⊆ cold_evals). The error return is for I/O
+// problems only.
 func checkMetrics(r io.Reader) ([]string, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
+	// The daemon ends the document with a newline; the snapshot is the
+	// JSON object before it.
+	data = bytes.TrimSuffix(data, []byte("\n"))
+	// A document that decodes but is not in the daemon's encoding is
+	// reported and still checked for its values.
 	var problems []string
-
-	// Presence first, against the raw object: a zero value in the
-	// typed struct cannot distinguish "0" from "absent".
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return []string{fmt.Sprintf("not a JSON object: %v", err)}, nil
-	}
-	for _, f := range metricsFields {
-		if _, ok := raw[f]; !ok {
-			problems = append(problems, fmt.Sprintf("missing field %q", f))
-		}
-	}
-
-	// Types and undocumented fields, via a strict decode into the wire
-	// struct itself — the schema cannot drift from the implementation
-	// because it IS the implementation.
 	var snap daemon.MetricsSnapshot
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&snap); err != nil {
-		problems = append(problems, fmt.Sprintf("schema violation: %v", err))
+	decoded := false
+	if err := sim.DecodeExact(data, &snap, func() ([]byte, error) {
+		decoded = true
+		return json.Marshal(&snap)
+	}); err != nil {
+		problems = append(problems, err.Error())
+	}
+	if !decoded {
 		return problems, nil
 	}
-
 	for _, g := range []struct {
 		name string
 		v    int64

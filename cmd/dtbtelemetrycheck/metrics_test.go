@@ -54,8 +54,8 @@ func TestCheckMetricsRejectsBadDocuments(t *testing.T) {
 	}{
 		{"not json", "nope", "not a JSON object"},
 		{"missing field", mutate(func(m map[string]any) { delete(m, "evals_served") }), `missing field "evals_served"`},
-		{"unknown field", mutate(func(m map[string]any) { m["surprise"] = 1 }), "schema violation"},
-		{"wrong type", mutate(func(m map[string]any) { m["memo_hits"] = "three" }), "schema violation"},
+		{"unknown field", mutate(func(m map[string]any) { m["surprise"] = 1 }), `unknown field "surprise"`},
+		{"wrong type", mutate(func(m map[string]any) { m["memo_hits"] = "three" }), `field "memo_hits" is not a uint64 (got string)`},
 		{"negative gauge", mutate(func(m map[string]any) { m["queued"] = -2 }), "negative gauge"},
 		{"identity broken", mutate(func(m map[string]any) { m["memo_hits"] = 5 }), "serving identity broken"},
 		{"tape exceeds cold", mutate(func(m map[string]any) { m["tape_hits"] = 7 }), "tape_hits 7 exceeds cold_evals"},

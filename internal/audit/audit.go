@@ -72,9 +72,10 @@ func (v Violation) String() string {
 //   - run-sequence: RunStart first, RunFinish last, no duplicates;
 //   - decision-sequence: Decision n then Scavenge n, indices 1,2,3,...;
 //   - boundary-future: TB_n <= t_n (the clamp contract);
-//   - boundary-above-prev: TB_n <= t_{n-1} for the stock Table-1
-//     policies, whose derivations all guarantee every object is traced
-//     at least once (unknown policy names skip this check);
+//   - boundary-above-prev: TB_n <= t_{n-1} (t_0 = 0, so scavenge 1 is
+//     full) for the stock Table-1 policies, whose derivations all
+//     guarantee every object is traced at least once (unknown policy
+//     names skip this check);
 //   - time-monotone: t_n > t_{n-1};
 //   - mem-monotone: memory in use never shrinks between scavenges
 //     (only a scavenge reclaims), so Mem_n >= S_{n-1};
@@ -91,6 +92,10 @@ func (v Violation) String() string {
 //   - finish-stats: mean <= max for memory and live statistics, the
 //     live curve never exceeds the memory curve, and OverheadPct
 //     matches total traced bytes at the machine's rates.
+//
+// The rules shared with CheckHistory live in history.go; the rest need
+// what only the event stream carries (oracle live bytes, pauses, the
+// final Result).
 type Auditor struct {
 	mu         sync.Mutex
 	runs       map[string]*runAudit
@@ -100,6 +105,7 @@ type Auditor struct {
 
 // runAudit is the per-run state the checks thread through.
 type runAudit struct {
+	a         *Auditor // where violations go
 	label     string
 	collector string
 	machine   sim.Machine
@@ -107,9 +113,10 @@ type runAudit struct {
 	finished  bool
 	strict    bool // collector is a stock policy: TB_n <= t_{n-1} applies
 
-	pending       *sim.Decision // decision awaiting its scavenge
-	scavenges     []sim.ScavengeEvent
-	lastClock     core.Time // latest Progress allocation clock
+	pending       *sim.Decision   // decision awaiting its scavenge
+	hist          []core.Scavenge // the observed scavenges, as History entries
+	pauses        []float64       // and their pauses
+	lastClock     core.Time       // latest Progress allocation clock
 	haveLastClock bool
 }
 
@@ -163,9 +170,11 @@ func (a *Auditor) Err() error {
 	return fmt.Errorf("%s", b.String())
 }
 
-// report appends a violation; callers hold a.mu.
-func (a *Auditor) report(r *runAudit, n int, rule, format string, args ...any) {
-	a.violations = append(a.violations, Violation{
+// report appends a violation of the run to its Auditor's list; it is a
+// reportFunc, so the shared rules report through it. Callers hold
+// r.a.mu.
+func (r *runAudit) report(n int, rule, format string, args ...any) {
+	r.a.violations = append(r.a.violations, Violation{
 		Label:     r.label,
 		Collector: r.collector,
 		N:         n,
@@ -196,7 +205,7 @@ func stockBoundedPolicy(name string) bool {
 func (a *Auditor) run(label string) *runAudit {
 	r := a.runs[label]
 	if r == nil {
-		r = &runAudit{label: label, machine: sim.PaperMachine()}
+		r = &runAudit{a: a, label: label, machine: sim.PaperMachine()}
 		a.runs[label] = r
 		a.order = append(a.order, label)
 	}
@@ -209,16 +218,16 @@ func (a *Auditor) RunStart(e sim.RunStart) {
 	defer a.mu.Unlock()
 	r := a.run(e.Label)
 	if r.started {
-		a.report(r, 0, "run-sequence", "duplicate RunStart for collector %s", e.Collector)
+		r.report(0, "run-sequence", "duplicate RunStart for collector %s", e.Collector)
 		// Reset for the new run so its own checks stay meaningful.
-		*r = runAudit{label: e.Label}
+		*r = runAudit{a: a, label: e.Label}
 	}
 	r.started = true
 	r.collector = e.Collector
 	r.strict = stockBoundedPolicy(e.Collector)
 	r.machine = e.Machine
 	if r.machine.Validate() != nil {
-		a.report(r, 0, "run-sequence", "RunStart carries unusable machine model %+v", e.Machine)
+		r.report(0, "run-sequence", "RunStart carries unusable machine model %+v", e.Machine)
 		r.machine = sim.PaperMachine()
 	}
 }
@@ -229,39 +238,22 @@ func (a *Auditor) Decision(e sim.Decision) {
 	defer a.mu.Unlock()
 	r := a.run(e.Label)
 	if !r.started {
-		a.report(r, e.N, "run-sequence", "Decision before RunStart")
+		r.report(e.N, "run-sequence", "Decision before RunStart")
 		r.started = true
 	}
 	if r.finished {
-		a.report(r, e.N, "run-sequence", "Decision after RunFinish")
+		r.report(e.N, "run-sequence", "Decision after RunFinish")
 	}
 	if r.pending != nil {
-		a.report(r, e.N, "decision-sequence",
+		r.report(e.N, "decision-sequence",
 			"decision %d while decision %d still awaits its scavenge", e.N, r.pending.N)
 	}
-	if want := len(r.scavenges) + 1; e.N != want {
-		a.report(r, e.N, "decision-sequence", "decision n=%d, want %d", e.N, want)
+	if want := len(r.hist) + 1; e.N != want {
+		r.report(e.N, "decision-sequence", "decision n=%d, want %d", e.N, want)
 	}
-	if e.TB > e.Now {
-		a.report(r, e.N, "boundary-future", "TB_n=%v is beyond the clock t_n=%v", e.TB, e.Now)
-	}
-	if last, ok := r.lastScavenge(); ok {
-		if r.strict && e.TB > last.T {
-			a.report(r, e.N, "boundary-above-prev",
-				"%s chose TB_n=%v beyond the previous scavenge time t_{n-1}=%v", r.collector, e.TB, last.T)
-		}
-		if e.Now <= last.T {
-			a.report(r, e.N, "time-monotone",
-				"decision at t_n=%v does not advance past t_{n-1}=%v", e.Now, last.T)
-		}
-		if e.MemBefore < last.Surviving {
-			a.report(r, e.N, "mem-monotone",
-				"Mem_n=%d below the previous survivors S_{n-1}=%d: memory shrank without a scavenge",
-				e.MemBefore, last.Surviving)
-		}
-	}
+	r.checkInputs(core.Scavenge{N: e.N, T: e.Now, TB: e.TB, MemBefore: e.MemBefore})
 	if e.LiveBefore > e.MemBefore {
-		a.report(r, e.N, "live-exceeds-mem",
+		r.report(e.N, "live-exceeds-mem",
 			"oracle live bytes %d exceed bytes in use %d", e.LiveBefore, e.MemBefore)
 	}
 	d := e
@@ -274,43 +266,35 @@ func (a *Auditor) Scavenge(e sim.ScavengeEvent) {
 	defer a.mu.Unlock()
 	r := a.run(e.Label)
 	if !r.started {
-		a.report(r, e.N, "run-sequence", "Scavenge before RunStart")
+		r.report(e.N, "run-sequence", "Scavenge before RunStart")
 		r.started = true
 	}
 	if r.finished {
-		a.report(r, e.N, "run-sequence", "Scavenge after RunFinish")
+		r.report(e.N, "run-sequence", "Scavenge after RunFinish")
 	}
+	s := e.Entry()
+	// The inputs were checked at the decision; a scavenge that arrives
+	// without its decision, or disagrees with it, is checked on its own.
 	switch d := r.pending; {
 	case d == nil:
-		a.report(r, e.N, "decision-sequence", "scavenge %d without a preceding decision", e.N)
+		r.report(e.N, "decision-sequence", "scavenge %d without a preceding decision", e.N)
+		r.checkInputs(s)
 	case d.N != e.N:
-		a.report(r, e.N, "decision-sequence", "scavenge n=%d does not match decision n=%d", e.N, d.N)
-	default:
-		if e.T != d.Now || e.TB != d.TB || e.MemBefore != d.MemBefore {
-			a.report(r, e.N, "decision-scavenge-match",
-				"outcome (t=%v tb=%v mem=%d) differs from its decision (t=%v tb=%v mem=%d)",
-				e.T, e.TB, e.MemBefore, d.Now, d.TB, d.MemBefore)
-		}
+		r.report(e.N, "decision-sequence", "scavenge n=%d does not match decision n=%d", e.N, d.N)
+		r.checkInputs(s)
+	case e.T != d.Now || e.TB != d.TB || e.MemBefore != d.MemBefore:
+		r.report(e.N, "decision-scavenge-match",
+			"outcome (t=%v tb=%v mem=%d) differs from its decision (t=%v tb=%v mem=%d)",
+			e.T, e.TB, e.MemBefore, d.Now, d.TB, d.MemBefore)
+		r.checkInputs(s)
 	}
 	r.pending = nil
-	if e.TB > e.T {
-		a.report(r, e.N, "boundary-future", "TB_n=%v is beyond the scavenge time t_n=%v", e.TB, e.T)
-	}
-	if e.MemBefore != e.Surviving+e.Reclaimed {
-		a.report(r, e.N, "mem-accounting",
-			"Mem_n=%d but Surviving+Reclaimed=%d+%d=%d: %d byte(s) unaccounted",
-			e.MemBefore, e.Surviving, e.Reclaimed, e.Surviving+e.Reclaimed,
-			int64(e.MemBefore)-int64(e.Surviving+e.Reclaimed))
-	}
-	if e.Traced+e.Reclaimed > e.MemBefore {
-		a.report(r, e.N, "trace-accounting",
-			"traced %d + reclaimed %d exceed the %d bytes that were in use", e.Traced, e.Reclaimed, e.MemBefore)
-	}
+	checkOutcome(s, r.report)
 	if e.Live > e.Surviving {
-		a.report(r, e.N, "live-exceeds-mem",
+		r.report(e.N, "live-exceeds-mem",
 			"oracle live bytes %d exceed the surviving bytes %d", e.Live, e.Surviving)
 	} else if e.TenuredGarbage != e.Surviving-e.Live {
-		a.report(r, e.N, "tenured-garbage",
+		r.report(e.N, "tenured-garbage",
 			"TenuredGarbage=%d does not equal Surviving-Live=%d-%d=%d",
 			e.TenuredGarbage, e.Surviving, e.Live, e.Surviving-e.Live)
 	}
@@ -318,11 +302,25 @@ func (a *Auditor) Scavenge(e sim.ScavengeEvent) {
 	// recomputed NaN (== would report a phantom divergence) and a -0/+0
 	// split must be caught (== would bless it).
 	if want := r.machine.PauseSeconds(e.Traced); math.Float64bits(e.PauseSeconds) != math.Float64bits(want) {
-		a.report(r, e.N, "pause-rate",
+		r.report(e.N, "pause-rate",
 			"pause %.9gs does not equal traced/rate = %d/%.6g = %.9gs",
 			e.PauseSeconds, e.Traced, r.machine.TraceBytesPer, want)
 	}
-	r.scavenges = append(r.scavenges, e)
+	r.hist = append(r.hist, s)
+	r.pauses = append(r.pauses, e.PauseSeconds)
+}
+
+// checkInputs applies the decision-time rules to scavenge s against
+// the run's previous scavenge; callers hold r.a.mu.
+func (r *runAudit) checkInputs(s core.Scavenge) {
+	var prev *core.Scavenge
+	if n := len(r.hist); n > 0 {
+		prev = &r.hist[n-1]
+	}
+	checkInputs(s, prev, r.report)
+	if r.strict {
+		checkAbovePrev(s, prev, r.report)
+	}
 }
 
 // Progress implements sim.Probe.
@@ -331,20 +329,20 @@ func (a *Auditor) Progress(e sim.Progress) {
 	defer a.mu.Unlock()
 	r := a.run(e.Label)
 	if !r.started {
-		a.report(r, 0, "run-sequence", "Progress before RunStart")
+		r.report(0, "run-sequence", "Progress before RunStart")
 		r.started = true
 	}
 	if e.Live > e.InUse && r.collector != "Live" {
-		a.report(r, 0, "live-exceeds-mem",
+		r.report(0, "live-exceeds-mem",
 			"progress at clock %v: oracle live bytes %d exceed bytes in use %d", e.Clock, e.Live, e.InUse)
 	}
 	if r.haveLastClock && e.Clock < r.lastClock {
-		a.report(r, 0, "time-monotone",
+		r.report(0, "time-monotone",
 			"progress clock regressed %v -> %v", r.lastClock, e.Clock)
 	}
 	r.lastClock, r.haveLastClock = e.Clock, true
-	if got, want := e.Collections, len(r.scavenges); got != want {
-		a.report(r, 0, "decision-sequence",
+	if got, want := e.Collections, len(r.hist); got != want {
+		r.report(0, "decision-sequence",
 			"progress reports %d collections but %d scavenge events were observed", got, want)
 	}
 }
@@ -356,15 +354,15 @@ func (a *Auditor) RunFinish(e sim.RunFinish) {
 	r := a.run(e.Label)
 	res := e.Result
 	if !r.started {
-		a.report(r, 0, "run-sequence", "RunFinish before RunStart")
+		r.report(0, "run-sequence", "RunFinish before RunStart")
 		r.started = true
 	}
 	if r.finished {
-		a.report(r, 0, "run-sequence", "duplicate RunFinish")
+		r.report(0, "run-sequence", "duplicate RunFinish")
 	}
 	r.finished = true
 	if r.pending != nil {
-		a.report(r, r.pending.N, "decision-sequence", "decision %d has no matching scavenge", r.pending.N)
+		r.report(r.pending.N, "decision-sequence", "decision %d has no matching scavenge", r.pending.N)
 	}
 	a.checkFinishHistory(r, res)
 	a.checkFinishStats(r, res)
@@ -386,51 +384,60 @@ func (a *Auditor) NoteDrops(label string, d trace.DropStats) {
 	defer a.mu.Unlock()
 	r := a.run(label)
 	if d.CorruptRecords < 0 || d.TornTail < 0 {
-		a.report(r, 0, "drop-accounting",
+		r.report(0, "drop-accounting",
 			"negative drop counts: corrupt=%d torn=%d", d.CorruptRecords, d.TornTail)
 	}
 	if d.TornTail > 1 {
-		a.report(r, 0, "drop-accounting",
+		r.report(0, "drop-accounting",
 			"torn tail recorded %d times; a stream ends at most once", d.TornTail)
 	}
 	if (d.BytesDropped > 0) != d.Any() {
-		a.report(r, 0, "drop-accounting",
+		r.report(0, "drop-accounting",
 			"%d byte(s) dropped inconsistent with corrupt=%d torn=%d: every drop must be typed and every type must cost bytes",
 			d.BytesDropped, d.CorruptRecords, d.TornTail)
+	}
+}
+
+// EndOfStream declares that no more events will arrive, as at the end
+// of a captured telemetry file: every run that started but never
+// finished is reported under "run-sequence".
+func (a *Auditor) EndOfStream() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, label := range a.order {
+		if r := a.runs[label]; r.started && !r.finished {
+			r.report(0, "run-sequence", "no RunFinish before the end of the stream")
+		}
 	}
 }
 
 // checkFinishHistory cross-checks the final Result against the event
 // stream the auditor observed; callers hold a.mu.
 func (a *Auditor) checkFinishHistory(r *runAudit, res *sim.Result) {
-	if res.Collections != len(r.scavenges) {
-		a.report(r, 0, "finish-history",
-			"Result.Collections=%d but %d scavenge events were observed", res.Collections, len(r.scavenges))
+	if res.Collections != len(r.hist) {
+		r.report(0, "finish-history",
+			"Result.Collections=%d but %d scavenge events were observed", res.Collections, len(r.hist))
 	}
 	hist := res.History.Scavenges
-	if len(hist) != len(r.scavenges) || len(res.Pauses) != len(r.scavenges) {
-		a.report(r, 0, "finish-history",
+	if len(hist) != len(r.hist) || len(res.Pauses) != len(r.hist) {
+		r.report(0, "finish-history",
 			"History has %d entries and Pauses %d for %d observed scavenges",
-			len(hist), len(res.Pauses), len(r.scavenges))
+			len(hist), len(res.Pauses), len(r.hist))
 	}
 	var tracedTotal uint64
-	for i, ev := range r.scavenges {
-		tracedTotal += ev.Traced
-		if i < len(hist) {
-			h := hist[i]
-			if h.N != ev.N || h.T != ev.T || h.TB != ev.TB || h.MemBefore != ev.MemBefore ||
-				h.Traced != ev.Traced || h.Reclaimed != ev.Reclaimed || h.Surviving != ev.Surviving {
-				a.report(r, ev.N, "finish-history",
-					"History entry %+v does not reproduce the observed scavenge event", h)
-			}
+	for i, s := range r.hist {
+		tracedTotal += s.Traced
+		if i < len(hist) && hist[i] != s {
+			r.report(s.N, "finish-history",
+				"History entry %+v does not reproduce the observed scavenge event", hist[i])
 		}
-		if i < len(res.Pauses) && math.Float64bits(res.Pauses[i]) != math.Float64bits(ev.PauseSeconds) {
-			a.report(r, ev.N, "finish-history",
-				"Pauses[%d]=%.9g differs from the observed pause %.9g", i, res.Pauses[i], ev.PauseSeconds)
+		if i < len(res.Pauses) && math.Float64bits(res.Pauses[i]) != math.Float64bits(r.pauses[i]) {
+			r.report(s.N, "finish-history",
+				"Pauses[%d]=%.9g differs from the observed pause %.9g", i, res.Pauses[i], r.pauses[i])
 		}
 	}
 	if res.TracedTotalBytes != tracedTotal {
-		a.report(r, 0, "finish-history",
+		r.report(0, "finish-history",
 			"TracedTotalBytes=%d but the observed scavenges traced %d", res.TracedTotalBytes, tracedTotal)
 	}
 }
@@ -439,33 +446,25 @@ func (a *Auditor) checkFinishHistory(r *runAudit, res *sim.Result) {
 // internal consistency; callers hold a.mu.
 func (a *Auditor) checkFinishStats(r *runAudit, res *sim.Result) {
 	if res.MemMeanBytes > res.MemMaxBytes {
-		a.report(r, 0, "finish-stats",
+		r.report(0, "finish-stats",
 			"memory mean %.1f exceeds memory max %.1f", res.MemMeanBytes, res.MemMaxBytes)
 	}
 	if res.LiveMeanBytes > res.LiveMaxBytes {
-		a.report(r, 0, "finish-stats",
+		r.report(0, "finish-stats",
 			"live mean %.1f exceeds live max %.1f", res.LiveMeanBytes, res.LiveMaxBytes)
 	}
 	if res.LiveMaxBytes > res.MemMaxBytes {
-		a.report(r, 0, "finish-stats",
+		r.report(0, "finish-stats",
 			"live max %.1f exceeds memory max %.1f: the live floor pierced the memory curve",
 			res.LiveMaxBytes, res.MemMaxBytes)
 	}
 	if res.ExecSeconds > 0 {
 		want := 100 * r.machine.PauseSeconds(res.TracedTotalBytes) / res.ExecSeconds
 		if math.Float64bits(res.OverheadPct) != math.Float64bits(want) {
-			a.report(r, 0, "finish-stats",
+			r.report(0, "finish-stats",
 				"OverheadPct=%.9g does not equal 100*trace_time/exec_time=%.9g", res.OverheadPct, want)
 		}
 	}
-}
-
-// lastScavenge returns the most recent observed scavenge event.
-func (r *runAudit) lastScavenge() (sim.ScavengeEvent, bool) {
-	if len(r.scavenges) == 0 {
-		return sim.ScavengeEvent{}, false
-	}
-	return r.scavenges[len(r.scavenges)-1], true
 }
 
 var _ sim.Probe = (*Auditor)(nil)

@@ -13,9 +13,10 @@ const serviceSamples = 1024
 
 // MetricsSnapshot is the GET /v1/metrics payload: a consistent
 // point-in-time view of the daemon's serving counters. Counters are
-// cumulative since process start; gauges are instantaneous. The
-// schema is validated in CI by dtbtelemetrycheck -metrics, including
-// the serving identity memo_hits + cold_evals == evals_served.
+// cumulative since process start; gauges are instantaneous. This
+// struct is the schema: dtbtelemetrycheck -metrics accepts exactly its
+// encoding, and checks the serving identity memo_hits + cold_evals ==
+// evals_served, in CI.
 type MetricsSnapshot struct {
 	// Serving counters.
 	EvalsServed  uint64 `json:"evals_served"` // responses sent with a result

@@ -1,6 +1,10 @@
 package sim
 
-import "github.com/dtbgc/dtbgc/internal/core"
+import (
+	"fmt"
+
+	"github.com/dtbgc/dtbgc/internal/core"
+)
 
 // Probe observes a simulation run as it happens: the paper's whole
 // contribution is a collector that *reacts to measurements*, and a
@@ -61,6 +65,17 @@ func (t TriggerReason) String() string {
 // MarshalJSON encodes the reason as its wire name.
 func (t TriggerReason) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + t.String() + `"`), nil
+}
+
+// UnmarshalText parses a wire name written by MarshalJSON.
+func (t *TriggerReason) UnmarshalText(b []byte) error {
+	for _, r := range []TriggerReason{TriggerByteBudget, TriggerMark} {
+		if string(b) == r.String() {
+			*t = r
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown trigger %q", b)
 }
 
 // RunStart announces a run and its fixed configuration.
@@ -129,6 +144,14 @@ type ScavengeEvent struct {
 	Live           uint64
 	TenuredGarbage uint64
 	PauseSeconds   float64 // Traced at the machine's trace rate
+}
+
+// Entry returns the History entry the event reports.
+func (e ScavengeEvent) Entry() core.Scavenge {
+	return core.Scavenge{
+		N: e.N, T: e.T, TB: e.TB, MemBefore: e.MemBefore,
+		Traced: e.Traced, Reclaimed: e.Reclaimed, Surviving: e.Surviving,
+	}
 }
 
 // Progress is the periodic allocation heartbeat for watching long

@@ -61,7 +61,8 @@ const (
 // TelemetryWriter is the machine-consumption sink: one JSON object
 // per telemetry event, one event per line. See the README's
 // Observability section for the line schema; cmd/dtbtelemetrycheck
-// validates a captured stream against it.
+// checks a captured stream against the writer's exact encoding and
+// the invariant auditor.
 type TelemetryWriter = sim.TelemetryWriter
 
 // NewTelemetryWriter returns a JSON-lines telemetry sink writing to
