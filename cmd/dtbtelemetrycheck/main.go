@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"github.com/dtbgc/dtbgc/internal/cliio"
 )
 
 func main() {
@@ -45,20 +47,11 @@ func main() {
 	}
 	failed := false
 	for _, arg := range args {
-		var r io.Reader
 		name := arg
 		if arg == "-" {
-			r, name = os.Stdin, "<stdin>"
-		} else {
-			f, err := os.Open(arg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dtbtelemetrycheck:", err)
-				os.Exit(2)
-			}
-			defer f.Close()
-			r = f
+			name = "<stdin>"
 		}
-		problems, err := check(r)
+		problems, err := checkPath(arg, check)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dtbtelemetrycheck: %s: %v\n", name, err)
 			os.Exit(2)
@@ -73,4 +66,17 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// checkPath runs check over the named file, or over stdin for "-".
+func checkPath(arg string, check func(io.Reader) ([]string, error)) (problems []string, err error) {
+	if arg == "-" {
+		return check(os.Stdin)
+	}
+	f, err := os.Open(arg)
+	if err != nil {
+		return nil, err
+	}
+	defer cliio.CloseChecked(arg, f, &err)
+	return check(f)
 }

@@ -219,12 +219,12 @@ func cmdGen(args []string, stdout, stderr io.Writer) error {
 	})
 }
 
-func readTraceFile(path string) ([]dtbgc.Event, error) {
+func readTraceFile(path string) (events []dtbgc.Event, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	defer cliio.CloseChecked(path, f, &err)
 	return dtbgc.ReadTrace(f)
 }
 
@@ -249,7 +249,7 @@ func cmdStat(args []string, stdout io.Writer) error {
 	})
 }
 
-func cmdConvert(args []string, stdout, stderr io.Writer) error {
+func cmdConvert(args []string, stdout, stderr io.Writer) (err error) {
 	fs := newFlagSet("convert", stderr)
 	from := fs.String("from", "bin", "input format: bin or text")
 	to := fs.String("to", "text", "output format: bin or text")
@@ -268,7 +268,7 @@ func cmdConvert(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer cliio.CloseChecked(fs.Arg(0), f, &err)
 	var events []dtbgc.Event
 	switch *from {
 	case "bin":

@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -36,12 +38,45 @@ type Job func(ctx context.Context) error
 // any other failure. Cancellation of the parent ctx is reported as
 // the parent's error.
 func RunJobs(ctx context.Context, workers int, jobs []Job) error {
+	return runJobs(ctx, poolSize(workers, len(jobs)), jobs, nil)
+}
+
+// RunJobsLargestFirst is RunJobs with the jobs dealt to the workers in
+// decreasing order of their estimated sizes (ties in job order) rather
+// than in job order, so the largest job does not start last and leave
+// the other workers idle at the end. Only wall time changes: each job
+// still writes only its own slot, errors are still joined in job
+// order, and with one worker the jobs run in job order — a single
+// worker's interleaved side effects, such as a shared telemetry
+// stream, are exactly RunJobs'.
+func RunJobsLargestFirst(ctx context.Context, workers int, jobs []Job, sizes []float64) error {
+	if len(sizes) != len(jobs) {
+		return fmt.Errorf("engine: %d job sizes for %d jobs", len(sizes), len(jobs))
+	}
+	workers = poolSize(workers, len(jobs))
+	var order []int
+	if workers > 1 {
+		order = make([]int, len(jobs))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
+	}
+	return runJobs(ctx, workers, jobs, order)
+}
+
+// poolSize resolves the worker count: workers <= 0 means GOMAXPROCS,
+// and there are never more workers than jobs.
+func poolSize(workers, jobs int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	return min(workers, jobs)
+}
+
+// runJobs deals jobs[order[0]], jobs[order[1]], ... (job order when
+// order is nil) to the workers.
+func runJobs(ctx context.Context, workers int, jobs []Job, order []int) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, len(jobs))
@@ -56,6 +91,9 @@ func RunJobs(ctx context.Context, workers int, jobs []Job) error {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {
 					return
+				}
+				if order != nil {
+					i = order[i]
 				}
 				err := jobs[i](cctx)
 				if err != nil && isCancellation(err) && (aborted.Load() || ctx.Err() != nil) {

@@ -125,17 +125,21 @@ func (tp *tape) maybeCompact(runners []*Runner) {
 // the index into the retired span summary, the per-ordinal arrays
 // shift down in place (capacity is reused — the arrays' footprint is
 // their retained high-water mark), the surviving index entries are
-// rebased, and every runner shifts its own per-ordinal state.
+// rebased, and every runner shifts its own per-ordinal state. A dense
+// tape has no map to edit: shifting ids down moves its base by k.
 func (tp *tape) retire(k int, runners []*Runner) {
-	for i := 0; i < k; i++ {
-		id := tp.ids[i]
-		delete(tp.index, id)
+	for _, id := range tp.ids[:k] {
 		tp.retired.add(id)
 	}
-	d := int32(k)
-	//dtbvet:ignore determinism -- order-insensitive rebase: every value is adjusted independently, no fold over map order
-	for id, ord := range tp.index {
-		tp.index[id] = ord - d
+	if tp.index != nil {
+		for _, id := range tp.ids[:k] {
+			delete(tp.index, id)
+		}
+		d := int32(k)
+		//dtbvet:ignore determinism -- order-insensitive rebase: every value is adjusted independently, no fold over map order
+		for id, ord := range tp.index {
+			tp.index[id] = ord - d
+		}
 	}
 	tp.ids = tp.ids[:copy(tp.ids, tp.ids[k:])]
 	tp.sizes = tp.sizes[:copy(tp.sizes, tp.sizes[k:])]

@@ -296,12 +296,21 @@ type resolved struct {
 // lifetime of a trace (see trace.Validate), and an ID that reuses a
 // retired object's number is still rejected as a duplicate
 // allocation.
+//
+// The id→ordinal index is dense while every allocated ID is the
+// previous one plus one, as in generated, Builder and decoded paper
+// traces: the retained IDs are then exactly next-len(ids) .. next-1,
+// an ID's ordinal is its offset from that base, and the map stays
+// nil. The first out-of-sequence allocation fills index from ids
+// once, and the tape answers from the map for the rest of the trace.
+// lookup is the one place that reads either form.
 type tape struct {
-	index  map[trace.ObjectID]int32
-	ids    []trace.ObjectID // per ordinal: reverse of index, so retiring a prefix can delete its entries
-	sizes  []uint64         // per ordinal
-	births []core.Time      // per ordinal, nondecreasing
-	dead   []bool           // per ordinal: freed by the program
+	index  map[trace.ObjectID]int32 // nil while the index is dense
+	next   trace.ObjectID           // while dense: the ID one past the last allocated
+	ids    []trace.ObjectID         // per ordinal: reverse of index, so retiring a prefix can delete its entries
+	sizes  []uint64                 // per ordinal
+	births []core.Time              // per ordinal, nondecreasing
+	dead   []bool                   // per ordinal: freed by the program
 
 	live uint64 // live bytes (the oracle)
 	// liveByBirth[b-bucketBase] is the live bytes of objects born in
@@ -347,7 +356,6 @@ type tape struct {
 
 func newTape() *tape {
 	return &tape{
-		index:          make(map[trace.ObjectID]int32),
 		checkEvery:     compactCheckEvery,
 		minRetire:      compactMinRetire,
 		minTrimBuckets: compactMinTrimBuckets,
@@ -369,7 +377,7 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 	}
 	switch e.Kind {
 	case trace.KindAlloc:
-		if _, dup := tp.index[e.ID]; dup {
+		if _, dup := tp.lookup(e.ID); dup {
 			return fmt.Errorf("sim: event %d: duplicate allocation of object %d", i, e.ID)
 		}
 		// An ID missing from the index may still have been seen and
@@ -386,7 +394,16 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 			return fmt.Errorf("sim: event %d: birth bucket %d out of range (base %d, limit %d buckets)", i, b, tp.bucketBase, tp.maxBuckets)
 		}
 		ord := int32(len(tp.sizes))
-		tp.index[e.ID] = ord
+		// The tape's first allocation may carry any ID; every later
+		// one must be the previous ID plus one to stay dense.
+		if tp.index == nil && e.ID != tp.next && (len(tp.ids) > 0 || tp.retiredOrds > 0) {
+			tp.sparsify()
+		}
+		if tp.index == nil {
+			tp.next = e.ID + 1
+		} else {
+			tp.index[e.ID] = ord
+		}
 		tp.clock = clock
 		tp.ids = append(tp.ids, e.ID)
 		tp.sizes = append(tp.sizes, e.Size)
@@ -400,7 +417,7 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		tp.liveByBirth[rb] += e.Size
 		*out = resolved{kind: trace.KindAlloc, ord: ord, size: e.Size}
 	case trace.KindFree:
-		ord, ok := tp.index[e.ID]
+		ord, ok := tp.lookup(e.ID)
 		if !ok {
 			// A retired object was dead when it left the tape, so a free
 			// of its ID is the double free it would have been before
@@ -429,7 +446,7 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 		// to the uncompacted tape, because retirement requires every
 		// runner to have reclaimed the object already, and reclaimed
 		// objects are not touched either way.
-		ord, ok := tp.index[e.ID]
+		ord, ok := tp.lookup(e.ID)
 		if !ok {
 			ord = -1
 		}
@@ -442,6 +459,31 @@ func (tp *tape) resolve(e trace.Event, out *resolved) error {
 	tp.lastInstr = e.Instr
 	tp.events++
 	return nil
+}
+
+// lookup returns the ordinal of a retained trace ID. Retired and
+// never-allocated IDs miss; resolve tells them apart with the
+// retired span set.
+func (tp *tape) lookup(id trace.ObjectID) (int32, bool) {
+	if tp.index == nil {
+		// Unsigned wrap-around makes every ID below the base an offset
+		// past len(ids), so one comparison covers both ends.
+		if off := id - (tp.next - trace.ObjectID(len(tp.ids))); off < trace.ObjectID(len(tp.ids)) {
+			return int32(off), true
+		}
+		return 0, false
+	}
+	ord, ok := tp.index[id]
+	return ord, ok
+}
+
+// sparsify leaves dense mode for good: the map is filled from ids
+// once, and every later lookup reads it.
+func (tp *tape) sparsify() {
+	tp.index = make(map[trace.ObjectID]int32, len(tp.ids))
+	for ord, id := range tp.ids {
+		tp.index[id] = int32(ord)
+	}
 }
 
 // liveBytesBornAfter is the bucketed boundary query over the tape.

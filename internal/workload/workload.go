@@ -23,7 +23,6 @@
 package workload
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"strings"
@@ -130,16 +129,48 @@ type death struct {
 
 type deathHeap []death
 
-func (h deathHeap) Len() int            { return len(h) }
-func (h deathHeap) Less(i, j int) bool  { return h[i].clock < h[j].clock }
-func (h deathHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *deathHeap) Push(x interface{}) { *h = append(*h, x.(death)) }
-func (h *deathHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// push and pop are container/heap's Push and Pop specialized to
+// deathHeap: the same sift-up and sift-down, comparison for
+// comparison and swap for swap, so pop order — ties included — and
+// thus every generated trace is unchanged, without boxing each death
+// in an interface.
+func (h *deathHeap) push(d death) {
+	*h = append(*h, d)
+	s := *h
+	j := len(s) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].clock < s[i].clock) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *deathHeap) pop() death {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && s[j2].clock < s[j1].clock {
+			j = j2 // right child
+		}
+		if !(s[j].clock < s[i].clock) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	d := s[n]
+	*h = s[:n]
+	return d
 }
 
 // Generate produces the profile's full event trace deterministically.
@@ -200,7 +231,7 @@ func (p Profile) GenerateTo(emit func(trace.Event) error) error {
 	for clock < p.TotalBytes {
 		// Emit any deaths due before the next allocation.
 		for len(deaths) > 0 && deaths[0].clock <= clock {
-			d := heap.Pop(&deaths).(death)
+			d := deaths.pop()
 			if err := emit(trace.Free(d.id, instrAt(clock))); err != nil {
 				return err
 			}
@@ -235,16 +266,16 @@ func (p Profile) GenerateTo(emit func(trace.Event) error) error {
 		case c.DieAtPhaseEnd:
 			phaseEnd := (clock/p.PhaseBytes + 1) * p.PhaseBytes
 			jitter := uint64(r.Exp(4 * kb))
-			heap.Push(&deaths, death{clock: phaseEnd + jitter, id: id})
+			deaths.push(death{clock: phaseEnd + jitter, id: id})
 		default:
 			life := uint64(r.Exp(c.MeanLife)) + 1
-			heap.Push(&deaths, death{clock: clock + life, id: id})
+			deaths.push(death{clock: clock + life, id: id})
 		}
 	}
 	// Flush deaths that fall within the run; objects scheduled to die
 	// after the end stay live, like a real program exiting.
 	for len(deaths) > 0 && deaths[0].clock <= clock {
-		d := heap.Pop(&deaths).(death)
+		d := deaths.pop()
 		if err := emit(trace.Free(d.id, instrAt(clock))); err != nil {
 			return err
 		}

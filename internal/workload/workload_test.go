@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/dtbgc/dtbgc/internal/sim"
 	"github.com/dtbgc/dtbgc/internal/trace"
+	"github.com/dtbgc/dtbgc/internal/xrand"
 )
 
 func TestAllProfilesValidate(t *testing.T) {
@@ -339,6 +341,64 @@ func TestGenerateToValidates(t *testing.T) {
 	}
 	if emitted != 0 {
 		t.Errorf("GenerateTo emitted %d events from an invalid profile", emitted)
+	}
+}
+
+// TestGenerateToAllocsFlat pins the generator's allocation count: it
+// must not grow with the number of events. What remains is set-up and
+// the death heap's amortized growth, so a GHOST(1) run four times as
+// long stays within the same small constant.
+func TestGenerateToAllocsFlat(t *testing.T) {
+	const limit = 32
+	for _, f := range []float64{0.005, 0.02} {
+		p := Ghost1().Scale(f)
+		events := 0
+		allocs := testing.AllocsPerRun(3, func() {
+			events = 0
+			if err := p.GenerateTo(func(trace.Event) error { events++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > limit {
+			t.Errorf("GHOST(1) at scale %g: %v allocations for %d events, want at most %d", f, allocs, events, limit)
+		}
+	}
+}
+
+// deathBox is container/heap's view of a death heap, the reference
+// deathHeap.push and pop must reproduce.
+type deathBox []death
+
+func (h deathBox) Len() int           { return len(h) }
+func (h deathBox) Less(i, j int) bool { return h[i].clock < h[j].clock }
+func (h deathBox) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *deathBox) Push(x any)        { *h = append(*h, x.(death)) }
+func (h *deathBox) Pop() any {
+	old := *h
+	d := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return d
+}
+
+// TestDeathHeapMatchesContainerHeap drives the typed heap and
+// container/heap through the same interleaving of pushes and pops,
+// with clocks drawn from a small range so ties are common: every pop
+// must return the same death, ties broken the same way.
+func TestDeathHeapMatchesContainerHeap(t *testing.T) {
+	r := xrand.New(7)
+	var typed deathHeap
+	var boxed deathBox
+	for step := 0; step < 20000; step++ {
+		if len(typed) == 0 || r.Float64() < 0.55 {
+			d := death{clock: uint64(r.Float64() * 64), id: trace.ObjectID(step)}
+			typed.push(d)
+			heap.Push(&boxed, d)
+			continue
+		}
+		got, want := typed.pop(), heap.Pop(&boxed).(death)
+		if got != want {
+			t.Fatalf("step %d: pop = %+v, container/heap pops %+v", step, got, want)
+		}
 	}
 }
 

@@ -176,3 +176,55 @@ func TestEvalTelemetryLabels(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalLargestFirstKeepsProfileOrder: the pool deals the largest
+// profile first, but Runs and the joined error stay in profile order,
+// and a single worker still runs the profiles in profile order, so its
+// telemetry is the profile-by-profile streams concatenated.
+func TestEvalLargestFirstKeepsProfileOrder(t *testing.T) {
+	var profiles []Workload
+	for _, name := range []string{"CFRAC", "SIS", "GHOST(1)"} { // smallest first
+		profiles = append(profiles, WorkloadByName(name))
+	}
+	opts := EvalOptions{Scale: 0.01, TriggerBytes: 16 * 1024, Profiles: profiles, Workers: 3}
+	ev, err := RunPaperEvaluation(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, run := range ev.Runs {
+		if run.Workload.Name != profiles[i].Name {
+			t.Errorf("Runs[%d] is %s, want %s", i, run.Workload.Name, profiles[i].Name)
+		}
+	}
+
+	var want bytes.Buffer
+	for _, p := range profiles {
+		one := opts
+		one.Profiles, one.Probe = []Workload{p}, NewTelemetryWriter(&want)
+		if _, err := RunPaperEvaluation(one); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got bytes.Buffer
+	solo := opts
+	solo.Workers, solo.Probe = 1, NewTelemetryWriter(&got)
+	if _, err := RunPaperEvaluation(solo); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("one-worker telemetry is not the profile-order concatenation of the per-profile streams")
+	}
+
+	bad := func(name string, total uint64) Workload {
+		w := WorkloadByName("CFRAC")
+		w.Name, w.TotalBytes, w.MeanObject = name, total, 8 // fails Validate
+		return w
+	}
+	_, err = RunPaperEvaluation(EvalOptions{Workers: 2, Profiles: []Workload{bad("badSmall", 1<<10), bad("badLarge", 1<<30)}})
+	if err == nil {
+		t.Fatal("invalid profiles accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "badLarge") || strings.Index(msg, "badSmall") > strings.Index(msg, "badLarge") {
+		t.Errorf("joined error is not in profile order: %v", err)
+	}
+}
